@@ -15,6 +15,7 @@
 #include "net/packet.hpp"
 #include "sasm/assembler.hpp"
 #include "sim/liquid_system.hpp"
+#include "sim/snapshot.hpp"
 
 namespace {
 
@@ -182,6 +183,43 @@ void BM_LiquidSystem_MIPS(benchmark::State& state) {
   report_mips(state, instructions);
 }
 BENCHMARK(BM_LiquidSystem_MIPS);
+
+// The warm-start pool's two operations on a booted node holding a loaded
+// program.  Both cost the state sections plus a pointer per resident page,
+// whatever the 5 MiB of SRAM + SDRAM hold; `pages` is the resident count.
+void BM_SnapshotCapture(benchmark::State& state) {
+  sim::LiquidSystem sys;
+  sys.run(200);
+  ctrl::LiquidClient client(sys);
+  if (!client.load_program(sasm::assemble_or_throw(kSystemLoop))) {
+    state.SkipWithError("remote program load failed");
+    return;
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(sys.snapshot());
+  const sim::SystemSnapshot snap = sys.snapshot();
+  state.counters["pages"] = static_cast<double>(snap.pages.size());
+  state.counters["state_bytes"] = static_cast<double>(snap.state.size());
+}
+BENCHMARK(BM_SnapshotCapture);
+
+void BM_SnapshotRestore(benchmark::State& state) {
+  sim::LiquidSystem sys;
+  sys.run(200);
+  const sim::SystemSnapshot boot = sys.snapshot();
+  ctrl::LiquidClient client(sys);
+  if (!client.load_program(sasm::assemble_or_throw(kSystemLoop))) {
+    state.SkipWithError("remote program load failed");
+    return;
+  }
+  const sim::SystemSnapshot loaded = sys.snapshot();
+  // Alternate so every restore swaps the program's page back or out.
+  bool flip = false;
+  for (auto _ : state) {
+    flip = !flip;
+    benchmark::DoNotOptimize(sys.restore(flip ? boot : loaded));
+  }
+}
+BENCHMARK(BM_SnapshotRestore);
 
 void BM_CacheAccess(benchmark::State& state) {
   cache::Cache c(cache::CacheConfig{.size_bytes = 4096,

@@ -11,11 +11,17 @@
 // with a clear position instead of silently misaligning.  The reader is
 // sticky-failing: any short read or tag mismatch latches ok() == false and
 // all further reads return zeroes, so load paths can check once at the end.
+//
+// Memory pages travel by reference, not by value: page() records an index
+// into the writer's page table and shares the page itself, so a capture
+// costs a pointer per page instead of a copy of its bytes.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstring>
 #include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,6 +35,14 @@ constexpr u32 snap_tag(const char (&s)[5]) {
   return (u32{static_cast<u8>(s[0])} << 24) | (u32{static_cast<u8>(s[1])} << 16) |
          (u32{static_cast<u8>(s[2])} << 8) | u32{static_cast<u8>(s[3])};
 }
+
+/// Simulated memory is stored, captured and restored in 4 KiB pages.
+inline constexpr u32 kPageBits = 12;
+inline constexpr u32 kPageBytes = 1u << kPageBits;
+using Page = std::array<u8, kPageBytes>;
+/// An immutable page shared between a live memory and its snapshots
+/// (mem/paged_memory.hpp).
+using PageRef = std::shared_ptr<const Page>;
 
 class SnapWriter {
  public:
@@ -52,7 +66,14 @@ class SnapWriter {
 
   void bytes(const Bytes& v) {
     u64v(v.size());
-    out_.insert(out_.end(), v.begin(), v.end());
+    raw(v.data(), v.size());
+  }
+  /// Unprefixed bytes (the reader must know the length).
+  void raw(const u8* p, std::size_t n) { out_.insert(out_.end(), p, p + n); }
+  /// A page by reference: the stream holds its 1-based index into pages().
+  void page(PageRef p) {
+    pages_.push_back(std::move(p));
+    u32v(static_cast<u32>(pages_.size()));
   }
   void str(const std::string& s) {
     u64v(s.size());
@@ -77,14 +98,20 @@ class SnapWriter {
 
   const Bytes& data() const { return out_; }
   Bytes take() { return std::move(out_); }
+  std::vector<PageRef> take_pages() { return std::move(pages_); }
 
  private:
   Bytes out_;
+  std::vector<PageRef> pages_;
 };
 
 class SnapReader {
  public:
-  explicit SnapReader(const Bytes& data) : data_(&data) {}
+  /// `pages` resolves the stream's page() indices (null: a stream that
+  /// references no pages).
+  explicit SnapReader(const Bytes& data,
+                      const std::vector<PageRef>* pages = nullptr)
+      : data_(&data), pages_(pages) {}
 
   u8 u8v() {
     if (pos_ >= data_->size()) {
@@ -116,11 +143,28 @@ class SnapReader {
   }
 
   Bytes bytes() {
-    const u64 n = len(1);
-    Bytes v;
-    v.reserve(n);
-    for (u64 i = 0; i < n; ++i) v.push_back(u8v());
+    Bytes v(len(1));
+    raw(v.data(), v.size());
     return v;
+  }
+  /// `n` unprefixed bytes into `out` (zeroes past the end of the stream).
+  void raw(u8* out, std::size_t n) {
+    if (n > data_->size() - pos_) {
+      ok_ = false;
+      std::memset(out, 0, n);
+      return;
+    }
+    std::memcpy(out, data_->data() + pos_, n);
+    pos_ += n;
+  }
+  /// The page a writer's page() recorded here.
+  PageRef page() {
+    const u32 i = u32v();
+    if (pages_ == nullptr || i == 0 || i > pages_->size()) {
+      ok_ = false;
+      return nullptr;
+    }
+    return (*pages_)[i - 1];
   }
   std::string str() {
     const u64 n = len(1);
@@ -171,6 +215,7 @@ class SnapReader {
   }
 
   const Bytes* data_;
+  const std::vector<PageRef>* pages_;
   std::size_t pos_ = 0;
   bool ok_ = true;
 };

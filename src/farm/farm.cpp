@@ -83,7 +83,7 @@ void LiquidFarm::start() {
   }
 }
 
-Result<u64> LiquidFarm::submit(FarmJob job) {
+Result<u64> LiquidFarm::submit(FarmJob job, bool wake) {
   const std::lock_guard<std::mutex> lk(mu_);
   if (shutdown_) return FarmError{FarmErrorKind::kShuttingDown, {}};
   if (cfg_.tracing && !job.trace.valid()) {
@@ -93,8 +93,13 @@ Result<u64> LiquidFarm::submit(FarmJob job) {
     job.submitted_us = span_log_.now_us();
   }
   Result<u64> admitted = sched_.enqueue(std::move(job));
-  if (admitted) cv_work_.notify_all();
+  if (admitted && wake) cv_work_.notify_all();
   return admitted;
+}
+
+void LiquidFarm::wake() {
+  const std::lock_guard<std::mutex> lk(mu_);
+  cv_work_.notify_all();
 }
 
 std::optional<FarmJobOutcome> LiquidFarm::try_pop_result() {
@@ -119,7 +124,10 @@ std::optional<FarmJobOutcome> LiquidFarm::pop_result() {
 void LiquidFarm::drain() {
   start();  // a paused farm can never drain
   std::unique_lock<std::mutex> lk(mu_);
-  cv_results_.wait(lk, [&] { return shutdown_ || sched_.idle(); });
+  // Idle, not just an empty queue: a node benched by the last job is still
+  // being RESTART-probed by its worker, which must be done with the node
+  // before the caller may touch it again (node_for_setup).
+  cv_results_.wait(lk, [&] { return shutdown_ || fleet_idle_locked(); });
 }
 
 void LiquidFarm::shutdown() {
@@ -409,6 +417,16 @@ FarmReport LiquidFarm::report() {
       .set(static_cast<double>(cs.failed_synth));
   fleet.gauge("reconfig_cache.synth_seconds").set(cs.synth_seconds);
   fleet.gauge("reconfig_cache.size").set(static_cast<double>(cache_.size()));
+  // The shared warm-start pool, likewise once per fleet.
+  const sim::SnapshotPool::Stats ps = warm_pool_.stats();
+  fleet.gauge("snapshot_pool.entries")
+      .set(static_cast<double>(warm_pool_.size()));
+  fleet.gauge("snapshot_pool.bytes")
+      .set(static_cast<double>(warm_pool_.bytes()));
+  fleet.gauge("snapshot_pool.hits").set(static_cast<double>(ps.hits));
+  fleet.gauge("snapshot_pool.misses").set(static_cast<double>(ps.misses));
+  fleet.gauge("snapshot_pool.evictions")
+      .set(static_cast<double>(ps.evictions));
 
   fleet.counter("farm.nodes").inc(workers_.size());
   fleet.counter("farm.jobs").inc(rep.jobs);

@@ -161,7 +161,12 @@ class LiquidFarm {
   void start();
 
   /// Thread-safe submission; returns the job id or a typed rejection.
-  Result<u64> submit(FarmJob job);
+  /// With `wake` false the job waits for the next wake() (or any other
+  /// dispatch): a front end that answers its client before the work
+  /// starts keeps the woken worker from preempting that answer.
+  Result<u64> submit(FarmJob job, bool wake = true);
+  /// Wake the workers to pick up queued work.
+  void wake();
 
   /// Pop one completed job if any is ready.
   std::optional<FarmJobOutcome> try_pop_result();
@@ -169,7 +174,8 @@ class LiquidFarm {
   /// nullopt once the farm is idle with nothing left to deliver.
   std::optional<FarmJobOutcome> pop_result();
 
-  /// Block until every admitted job has executed (results may still be
+  /// Block until every admitted job has executed and every benched node
+  /// has healed, so no worker is using its node (results may still be
   /// queued for popping).
   void drain();
   /// Stop accepting work and park the workers (drain first to finish

@@ -56,6 +56,12 @@ void Gateway::run_() {
     while (auto dgram = sock_.recv_from(&from)) {
       handle_datagram_(from, *dgram);
     }
+    // Every kAccepted is on the wire: only now start the admitted work, so
+    // a woken worker cannot preempt this thread ahead of those replies.
+    if (admitted_) {
+      farm_.wake();
+      admitted_ = false;
+    }
     drain_farm_();
     const double now = steady_now_ms();
     if (now - last_gc_ms > 1000.0) {
@@ -197,7 +203,7 @@ void Gateway::handle_submit_(const SockAddr& from, const GateFrame& f,
     job.trace.parent_span_id = f.span_id;
     job.submitted_us = farm_.span_log().now_us();
   }
-  auto admitted = farm_.submit(std::move(job));
+  auto admitted = farm_.submit(std::move(job), /*wake=*/false);
   if (!admitted) {
     const farm::FarmError& e = admitted.error();
     switch (e.kind) {
@@ -223,6 +229,7 @@ void Gateway::handle_submit_(const SockAddr& from, const GateFrame& f,
     return;
   }
   const u64 job_id = *admitted;
+  admitted_ = true;
   ++s.jobs_submitted;
   ++s.inflight;
   s.remember_accept(f.request_id, job_id);

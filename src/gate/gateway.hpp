@@ -123,6 +123,7 @@ class Gateway {
   // Everything below is owned by the loop thread once start() returns.
   std::unordered_map<u64, Session> sessions_;  // token -> session
   std::unordered_map<u64, PendingJob> jobs_;   // farm job id -> origin
+  bool admitted_ = false;  // jobs submitted since the farm was last woken
   u64 span_counter_ = 0;  // gateway-minted span ids for traced jobs
   metrics::MetricsRegistry metrics_;
 };

@@ -5,10 +5,7 @@
 namespace la::mem {
 
 SdramDevice::SdramDevice(u32 size_bytes, SdramTiming timing)
-    : timing_(timing),
-      data_(size_bytes, 0),
-      open_row_(timing.banks, -1),
-      parity_bad_(size_bytes / 8, false) {
+    : timing_(timing), mem_(size_bytes, 8), open_row_(timing.banks, -1) {
   assert(is_pow2(size_bytes) && is_pow2(timing.banks) &&
          is_pow2(timing.row_bytes));
 }
@@ -31,17 +28,15 @@ Cycles SdramDevice::row_cost(Addr addr) {
 }
 
 Cycles SdramDevice::read_burst(Addr addr, std::span<u64> out) {
-  assert(is_aligned(addr, 8) && addr + out.size() * 8 <= data_.size());
+  assert(is_aligned(addr, 8) && addr + out.size() * 8 <= size());
   Cycles c = row_cost(addr) + timing_.cas;
   for (std::size_t w = 0; w < out.size(); ++w) {
-    u64 v = 0;
-    const std::size_t o = addr + w * 8;
-    if (parity_bad_[o / 8]) {
+    const u32 o = addr + static_cast<u32>(w * 8);
+    if (mem_.parity_bad(o)) {
       parity_pending_ = true;
       ++stats_.parity_errors;
     }
-    for (unsigned i = 0; i < 8; ++i) v = (v << 8) | data_[o + i];
-    out[w] = v;
+    out[w] = mem_.load_be(o, 8);
     c += 1;  // one word per clock once the pipe is primed
   }
   ++stats_.reads;
@@ -49,53 +44,41 @@ Cycles SdramDevice::read_burst(Addr addr, std::span<u64> out) {
 }
 
 Cycles SdramDevice::write_burst(Addr addr, std::span<const u64> in) {
-  assert(is_aligned(addr, 8) && addr + in.size() * 8 <= data_.size());
+  assert(is_aligned(addr, 8) && addr + in.size() * 8 <= size());
   Cycles c = row_cost(addr);
   for (std::size_t w = 0; w < in.size(); ++w) {
-    const std::size_t o = addr + w * 8;
-    for (unsigned i = 0; i < 8; ++i) {
-      data_[o + i] = static_cast<u8>(in[w] >> (8 * (7 - i)));
-    }
-    parity_bad_[o / 8] = false;
+    mem_.store_be(addr + static_cast<u32>(w * 8), 8, in[w]);
     c += 1;
   }
+  mem_.scrub(addr, in.size() * 8);
   ++stats_.writes;
   return c;
 }
 
 u64 SdramDevice::backdoor_word64(Addr addr) const {
-  assert(is_aligned(addr, 8) && addr + 8 <= data_.size());
-  u64 v = 0;
-  for (unsigned i = 0; i < 8; ++i) v = (v << 8) | data_[addr + i];
-  return v;
+  assert(is_aligned(addr, 8) && addr + 8 <= size());
+  return mem_.load_be(addr, 8);
 }
 
 void SdramDevice::backdoor_write_word64(Addr addr, u64 v) {
-  assert(is_aligned(addr, 8) && addr + 8 <= data_.size());
-  for (unsigned i = 0; i < 8; ++i) {
-    data_[addr + i] = static_cast<u8>(v >> (8 * (7 - i)));
-  }
-  parity_bad_[addr / 8] = false;
+  assert(is_aligned(addr, 8) && addr + 8 <= size());
+  mem_.store_be(addr, 8, v);
+  mem_.scrub(addr, 8);
 }
 
 bool SdramDevice::corrupt_word64(Addr addr, u64 mask) {
   const Addr word = addr & ~Addr{7};
-  if (word + 8 > data_.size()) return false;
-  for (unsigned i = 0; i < 8; ++i) {
-    data_[word + i] ^= static_cast<u8>(mask >> (8 * (7 - i)));
-  }
-  parity_bad_[word / 8] = true;
+  if (word + 8 > size()) return false;
+  mem_.store_be(word, 8, mem_.load_be(word, 8) ^ mask);
+  mem_.mark_parity_bad(word);
   ++stats_.words_corrupted;
   return true;
 }
 
 bool SdramDevice::parity_ok(Addr addr, u64 len) const {
   if (len == 0) return true;
-  if (addr + len > data_.size()) return true;
-  for (Addr a = addr & ~Addr{7}; a < addr + len; a += 8) {
-    if (parity_bad_[a / 8]) return false;
-  }
-  return true;
+  if (addr + len > size()) return true;
+  return mem_.parity_ok(addr, len);
 }
 
 Cycles FpxSdramController::read(SdramPort p, Cycles now, Addr addr,

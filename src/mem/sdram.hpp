@@ -16,6 +16,7 @@
 #include "common/bits.hpp"
 #include "common/snapio.hpp"
 #include "common/types.hpp"
+#include "mem/paged_memory.hpp"
 
 namespace la::mem {
 
@@ -27,13 +28,14 @@ struct SdramTiming {
   u32 row_bytes = 4096;
 };
 
-/// Raw SDRAM device: storage plus open-row timing.  Addresses are byte
+/// Raw SDRAM device: storage (copy-on-write pages, see
+/// mem/paged_memory.hpp) plus open-row timing.  Addresses are byte
 /// addresses, accesses are whole 64-bit words.
 class SdramDevice {
  public:
   SdramDevice(u32 size_bytes, SdramTiming timing = {});
 
-  u32 size() const { return static_cast<u32>(data_.size()); }
+  u32 size() const { return mem_.size(); }
   const SdramTiming& timing() const { return timing_; }
 
   /// Burst-read `out.size()` consecutive 64-bit words starting at the
@@ -75,12 +77,12 @@ class SdramDevice {
   u64 backdoor_word64(Addr addr) const;
   void backdoor_write_word64(Addr addr, u64 v);
 
-  /// Snapshot support: contents, open-row registers, parity, and stats.
+  /// Snapshot support: contents (pages by reference), damaged-parity
+  /// words, open-row registers, and stats.
   void save_state(SnapWriter& w) const {
     w.tag(snap_tag("SDRD"));
-    w.bytes(data_);
+    mem_.save(w);
     w.vec_i64(open_row_);
-    w.vec_bool(parity_bad_);
     w.b(parity_pending_);
     w.u64v(stats_.row_hits);
     w.u64v(stats_.row_misses);
@@ -91,17 +93,10 @@ class SdramDevice {
     w.u64v(stats_.parity_errors);
   }
   bool load_state(SnapReader& r) {
-    if (!r.expect(snap_tag("SDRD"))) return false;
-    Bytes data = r.bytes();
+    if (!r.expect(snap_tag("SDRD")) || !mem_.load(r)) return false;
     auto rows = r.vec_i64();
-    auto parity = r.vec_bool();
-    if (data.size() != data_.size() || rows.size() != open_row_.size() ||
-        parity.size() != parity_bad_.size()) {
-      return false;
-    }
-    data_ = std::move(data);
+    if (rows.size() != open_row_.size()) return false;
     open_row_ = std::move(rows);
-    parity_bad_ = std::move(parity);
     parity_pending_ = r.b();
     stats_.row_hits = r.u64v();
     stats_.row_misses = r.u64v();
@@ -118,9 +113,8 @@ class SdramDevice {
   Cycles row_cost(Addr addr);
 
   SdramTiming timing_;
-  std::vector<u8> data_;
+  PagedMemory mem_;  // one parity flag per 64-bit word
   std::vector<i64> open_row_;  // per bank, -1 = all precharged
-  std::vector<bool> parity_bad_;  // one flag per 64-bit word
   bool parity_pending_ = false;
   Stats stats_;
 };

@@ -1,7 +1,5 @@
 #include "mem/sram.hpp"
 
-#include <algorithm>
-
 namespace la::mem {
 
 Cycles Sram::transfer(bus::AhbTransfer& t) {
@@ -12,26 +10,21 @@ Cycles Sram::transfer(bus::AhbTransfer& t) {
       t.error = true;
       return cycles + 2;
     }
-    const std::size_t o = a - base_;
+    const u32 o = a - base_;
     if (t.write) {
-      const u32 v = t.data[b];
-      for (unsigned i = 0; i < t.beat_bytes; ++i) {
-        data_[o + i] = static_cast<u8>(v >> (8 * (t.beat_bytes - 1 - i)));
-      }
+      mem_.store_be(o, t.beat_bytes, t.data[b]);
       // Fresh data regenerates the word's check bits.  Sub-word writes scrub
       // too: the model treats a write as a read-modify-write of the parity
       // word, which recomputes parity over the (now intentional) contents.
-      parity_bad_[word_index(a)] = false;
+      mem_.scrub(o, 1);
       cycles += 1 + timing_.write_wait;
     } else {
-      if (parity_bad_[word_index(a)]) {
+      if (mem_.parity_bad(o)) {
         ++stats_.parity_errors;
         t.error = true;
         return cycles + 2;
       }
-      u32 v = 0;
-      for (unsigned i = 0; i < t.beat_bytes; ++i) v = (v << 8) | data_[o + i];
-      t.data[b] = v;
+      t.data[b] = static_cast<u32>(mem_.load_be(o, t.beat_bytes));
       cycles += 1 + timing_.read_wait;
     }
   }
@@ -40,36 +33,28 @@ Cycles Sram::transfer(bus::AhbTransfer& t) {
 
 bool Sram::debug_read(Addr addr, unsigned size, u64& out) {
   if (!contains(addr, size)) return false;
-  const std::size_t o = addr - base_;
-  u64 v = 0;
-  for (unsigned i = 0; i < size; ++i) v = (v << 8) | data_[o + i];
-  out = v;
+  out = mem_.load_be(addr - base_, size);
   return true;
 }
 
 bool Sram::debug_write(Addr addr, unsigned size, u64 value) {
   if (!contains(addr, size)) return false;
-  const std::size_t o = addr - base_;
-  for (unsigned i = 0; i < size; ++i) {
-    data_[o + i] = static_cast<u8>(value >> (8 * (size - 1 - i)));
-  }
+  mem_.store_be(addr - base_, size, value);
   return true;
 }
 
 bool Sram::backdoor_write(Addr addr, std::span<const u8> bytes) {
   if (!contains(addr, bytes.size())) return false;
-  std::copy(bytes.begin(), bytes.end(), data_.begin() + (addr - base_));
+  mem_.write(addr - base_, bytes);
   // The user path rewrites whole buffers; every word it touches gets fresh
   // parity.
-  for (Addr a = addr & ~Addr{3}; a < addr + bytes.size(); a += 4) {
-    parity_bad_[word_index(a)] = false;
-  }
+  mem_.scrub(addr - base_, bytes.size());
   return true;
 }
 
 bool Sram::backdoor_read(Addr addr, std::span<u8> out) const {
   if (!contains(addr, out.size())) return false;
-  std::copy_n(data_.begin() + (addr - base_), out.size(), out.begin());
+  mem_.read(addr - base_, out);
   return true;
 }
 
@@ -91,12 +76,9 @@ void Sram::backdoor_write_word(Addr addr, u32 value) {
 
 bool Sram::corrupt_word(Addr addr, u32 mask) {
   if (!contains(addr & ~Addr{3}, 4)) return false;
-  const std::size_t o = (addr - base_) & ~std::size_t{3};
-  data_[o + 0] ^= static_cast<u8>(mask >> 24);
-  data_[o + 1] ^= static_cast<u8>(mask >> 16);
-  data_[o + 2] ^= static_cast<u8>(mask >> 8);
-  data_[o + 3] ^= static_cast<u8>(mask);
-  parity_bad_[o / 4] = true;
+  const u32 o = (addr - base_) & ~u32{3};
+  mem_.store_be(o, 4, mem_.load_be(o, 4) ^ mask);
+  mem_.mark_parity_bad(o);
   ++stats_.words_corrupted;
   return true;
 }
@@ -104,10 +86,7 @@ bool Sram::corrupt_word(Addr addr, u32 mask) {
 bool Sram::parity_ok(Addr addr, u64 len) const {
   if (len == 0) return true;
   if (!contains(addr, len)) return true;  // out of range: nothing to report
-  for (Addr a = addr & ~Addr{3}; a < addr + len; a += 4) {
-    if (parity_bad_[word_index(a)]) return false;
-  }
-  return true;
+  return mem_.parity_ok(addr - base_, len);
 }
 
 }  // namespace la::mem

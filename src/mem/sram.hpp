@@ -8,16 +8,19 @@
 // AHB ERROR (the CPU takes an access trap), and the user-path can probe
 // parity_ok() before trusting a backdoor read.  Writing a word scrubs its
 // parity (fresh data, fresh check bits).
+//
+// Contents live in copy-on-write pages (mem/paged_memory.hpp): a snapshot
+// shares the SRAM's written pages instead of copying them.
 #pragma once
 
 #include <cassert>
 #include <span>
 #include <string_view>
-#include <vector>
 
 #include "bus/ahb.hpp"
 #include "common/snapio.hpp"
 #include "common/types.hpp"
+#include "mem/paged_memory.hpp"
 
 namespace la::mem {
 
@@ -29,10 +32,7 @@ struct SramTiming {
 class Sram final : public bus::AhbSlave {
  public:
   Sram(Addr base, u32 size, SramTiming timing = {})
-      : base_(base),
-        timing_(timing),
-        data_(size, 0),
-        parity_bad_((size + 3) / 4, false) {
+      : base_(base), timing_(timing), mem_(size, 4) {
     assert(size > 0);
   }
 
@@ -42,7 +42,7 @@ class Sram final : public bus::AhbSlave {
   bool debug_write(Addr addr, unsigned size, u64 value) override;
 
   Addr base() const { return base_; }
-  u32 size() const { return static_cast<u32>(data_.size()); }
+  u32 size() const { return mem_.size(); }
   const SramTiming& timing() const { return timing_; }
 
   // Backdoor (user-path) access: byte-exact, no bus timing.
@@ -63,24 +63,16 @@ class Sram final : public bus::AhbSlave {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Snapshot support: contents, per-word parity flags, and stats.  The
-  /// restoring instance must have the same size.
+  /// Snapshot support: contents (pages by reference), damaged-parity
+  /// words, and stats.  The restoring instance must have the same size.
   void save_state(SnapWriter& w) const {
     w.tag(snap_tag("SRAM"));
-    w.bytes(data_);
-    w.vec_bool(parity_bad_);
+    mem_.save(w);
     w.u64v(stats_.words_corrupted);
     w.u64v(stats_.parity_errors);
   }
   bool load_state(SnapReader& r) {
-    if (!r.expect(snap_tag("SRAM"))) return false;
-    Bytes data = r.bytes();
-    auto parity = r.vec_bool();
-    if (data.size() != data_.size() || parity.size() != parity_bad_.size()) {
-      return false;
-    }
-    data_ = std::move(data);
-    parity_bad_ = std::move(parity);
+    if (!r.expect(snap_tag("SRAM")) || !mem_.load(r)) return false;
     stats_.words_corrupted = r.u64v();
     stats_.parity_errors = r.u64v();
     return r.ok();
@@ -88,14 +80,12 @@ class Sram final : public bus::AhbSlave {
 
  private:
   bool contains(Addr addr, u64 len) const {
-    return addr >= base_ && addr - base_ + len <= data_.size();
+    return addr >= base_ && addr - base_ + len <= mem_.size();
   }
-  std::size_t word_index(Addr addr) const { return (addr - base_) / 4; }
 
   Addr base_;
   SramTiming timing_;
-  std::vector<u8> data_;
-  std::vector<bool> parity_bad_;  // one flag per 32-bit word
+  PagedMemory mem_;  // one parity flag per 32-bit word
   Stats stats_;
 };
 

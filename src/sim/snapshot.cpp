@@ -1,7 +1,7 @@
-// SystemSnapshot serialization and LiquidSystem::snapshot()/restore().
+// SystemSnapshot serialization, LiquidSystem::snapshot()/restore(), and the
+// warm-start pool.
 //
-// Layout (all little-endian, see common/snapio.hpp):
-//   "LASN" magic, u32 version
+// State layout (all little-endian, see common/snapio.hpp):
 //   "CFG " platform section   — memory sizes/timings, adapter, boot flavor
 //   "PCF " pipeline config    — architectural knobs only (host knobs are
 //                               per-system and never serialized)
@@ -10,7 +10,9 @@
 //                               adapter, disconnect, AHB, UART, timer, IRQ,
 //                               GPIO, cycle counter, watchdog, wrappers,
 //                               packet generator, leon_ctrl, CPP
-//   u64 FNV-1a checksum over everything before it
+// Wire layout (serialize()):
+//   "LASN" magic, u32 version, u64 length + state, u64 page count + the
+//   pages' bytes, u64 FNV-1a checksum over everything before it
 #include "sim/snapshot.hpp"
 
 #include <utility>
@@ -195,18 +197,45 @@ bool SystemSnapshot::validate(const Bytes& blob, std::string* err) {
   return true;
 }
 
-std::optional<SystemSnapshot> SystemSnapshot::deserialize(Bytes blob,
+Bytes SystemSnapshot::serialize() const {
+  SnapWriter w;
+  w.tag(kMagic);
+  w.u32v(kVersion);
+  w.bytes(state);
+  w.u64v(pages.size());
+  for (const PageRef& p : pages) w.raw(p->data(), kPageBytes);
+  Bytes out = w.take();
+  const u64 sum = snap_fnv1a(out.data(), out.size());
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<u8>(sum >> (8 * i)));
+  return out;
+}
+
+std::optional<SystemSnapshot> SystemSnapshot::deserialize(const Bytes& blob,
                                                           std::string* err) {
   if (!validate(blob, err)) return std::nullopt;
+  SnapReader r(blob);
+  r.u32v();  // magic (validated)
+  r.u32v();  // version (validated)
   SystemSnapshot s;
-  s.data = std::move(blob);
+  s.state = r.bytes();
+  const std::size_t body = blob.size() - 8;  // before the checksum
+  const u64 n = r.u64v();
+  const std::size_t left = r.pos() <= body ? body - r.pos() : 1;
+  if (!r.ok() || left % kPageBytes != 0 || n != left / kPageBytes) {
+    fail(err, "malformed snapshot page table");
+    return std::nullopt;
+  }
+  s.pages.reserve(n);
+  for (u64 i = 0; i < n; ++i) {
+    auto p = std::make_shared<Page>();
+    r.raw(p->data(), kPageBytes);
+    s.pages.push_back(std::move(p));
+  }
   return s;
 }
 
 SystemSnapshot LiquidSystem::snapshot() const {
   SnapWriter w;
-  w.tag(SystemSnapshot::kMagic);
-  w.u32v(SystemSnapshot::kVersion);
   save_platform_config(w, cfg_);
   save_pipeline_config(w, pipe_->config());
 
@@ -237,19 +266,17 @@ SystemSnapshot LiquidSystem::snapshot() const {
   cpp_->save_state(w);
 
   SystemSnapshot s;
-  s.data = w.take();
-  const u64 sum = snap_fnv1a(s.data.data(), s.data.size());
-  for (int i = 0; i < 8; ++i) {
-    s.data.push_back(static_cast<u8>(sum >> (8 * i)));
-  }
+  s.state = w.take();
+  s.pages = w.take_pages();
   return s;
 }
 
 bool LiquidSystem::restore(const SystemSnapshot& snap, std::string* err) {
-  if (!SystemSnapshot::validate(snap.data, err)) return false;
-  SnapReader r(snap.data);
-  r.u32v();  // magic (validated)
-  r.u32v();  // version (validated)
+  if (snap.empty()) {
+    fail(err, "empty snapshot");
+    return false;
+  }
+  SnapReader r(snap.state, &snap.pages);
   if (!platform_matches(r, cfg_)) {
     fail(err, "snapshot platform config does not match this system");
     return false;
@@ -299,6 +326,56 @@ bool LiquidSystem::restore(const SystemSnapshot& snap, std::string* err) {
   // Any precomputed batch boundary is stale now.
   periph_dirty_ = false;
   return true;
+}
+
+std::shared_ptr<const SystemSnapshot> SnapshotPool::get(
+    const std::string& key) {
+  std::lock_guard lk(mu_);
+  const auto it = pool_.find(key);
+  if (it == pool_.end()) {
+    ++stats_.misses;
+    return nullptr;
+  }
+  ++stats_.hits;
+  lru_.splice(lru_.begin(), lru_, it->second.lru);
+  return it->second.snap;
+}
+
+void SnapshotPool::put(const std::string& key, SystemSnapshot snap) {
+  auto sp = std::make_shared<const SystemSnapshot>(std::move(snap));
+  std::lock_guard lk(mu_);
+  if (pool_.count(key) != 0) return;
+  lru_.push_front(key);
+  pool_.emplace(key, Entry{sp, lru_.begin()});
+  bytes_ += sp->size_bytes();
+  ++stats_.inserts;
+  while (bytes_ > kBudget && !lru_.empty()) {
+    const auto victim = pool_.find(lru_.back());
+    bytes_ -= victim->second.snap->size_bytes();
+    pool_.erase(victim);
+    lru_.pop_back();
+    ++stats_.evictions;
+  }
+}
+
+bool SnapshotPool::contains(const std::string& key) const {
+  std::lock_guard lk(mu_);
+  return pool_.count(key) != 0;
+}
+
+std::size_t SnapshotPool::size() const {
+  std::lock_guard lk(mu_);
+  return pool_.size();
+}
+
+std::size_t SnapshotPool::bytes() const {
+  std::lock_guard lk(mu_);
+  return bytes_;
+}
+
+SnapshotPool::Stats SnapshotPool::stats() const {
+  std::lock_guard lk(mu_);
+  return stats_;
 }
 
 }  // namespace la::sim

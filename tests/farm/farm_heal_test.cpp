@@ -13,6 +13,7 @@
 
 #include "fault/injector.hpp"
 #include "farm/workload.hpp"
+#include "mem/memory_map.hpp"
 #include "sasm/assembler.hpp"
 
 namespace la::farm {
@@ -26,10 +27,14 @@ TEST(FarmHeal, WedgedNodeDrainsRetriesAndRecovers) {
   fc.max_job_retries = 2;
   LiquidFarm f(fc);
 
-  // Wedge node 0 permanently (until reset) early in its first job; only
-  // the watchdog + drain-on-fault machinery can save that job.
+  // Wedge node 0 permanently (until reset) as its first job's program
+  // starts; only the watchdog + drain-on-fault machinery can save that
+  // job.  The trigger is the program entry rather than a cycle count: a
+  // wedge that lands while the node boots or loads is wiped by the next
+  // warm-start restore (it replaces the whole CPU state), and when that
+  // happens depends on how fast the sibling donates its snapshots.
   fault::FaultPlan plan;
-  plan.events.push_back({{fault::TriggerKind::kCycle, 3'000},
+  plan.events.push_back({{fault::TriggerKind::kPc, mem::map::kUserProgramBase},
                          {fault::FaultSite::kCpuWedge, 0, 1, 1, 0}});
   fault::FaultInjector inj(f.node_for_setup(0), plan);
 
@@ -172,6 +177,29 @@ TEST(FarmHeal, RepeatedJobWarmStartsFromThePool) {
   const FarmReport rep = f.report();
   EXPECT_GE(rep.warm_starts, 1u);
   EXPECT_EQ(rep.fleet.value_u64("farm.warm_starts"), rep.warm_starts);
+}
+
+TEST(FarmHeal, ReportCarriesTheWarmPoolGauges) {
+  FarmConfig fc;
+  fc.nodes = 2;
+  LiquidFarm f(fc);
+
+  // Distinct programs: every job donates a post-LOAD snapshot.  Each
+  // holds the few pages its node has touched, so the pool stays far below
+  // its budget.
+  WorkloadGenerator gen(WorkloadConfig{});
+  constexpr u64 kJobs = 24;
+  for (u64 i = 0; i < kJobs; ++i) ASSERT_TRUE(f.submit(gen.next().job));
+  f.drain();
+
+  const FarmReport rep = f.report();
+  const auto gauge = [&](const char* name) { return rep.fleet.value_u64(name); };
+  EXPECT_GE(gauge("snapshot_pool.entries"), kJobs);  // + boot images
+  EXPECT_GE(gauge("snapshot_pool.misses"), kJobs);
+  EXPECT_EQ(gauge("snapshot_pool.hits"), rep.warm_starts);
+  EXPECT_EQ(gauge("snapshot_pool.evictions"), 0u);
+  EXPECT_GT(gauge("snapshot_pool.bytes"), 0u);
+  EXPECT_LT(gauge("snapshot_pool.bytes"), kJobs * 64 * 1024);
 }
 
 TEST(FarmHeal, WarmStartOffRunsEveryLoad) {

@@ -126,6 +126,28 @@ TEST(Farm, SaturationRejectsWithTypedError) {
   EXPECT_EQ(rep.rejected, 1u);
 }
 
+TEST(Farm, DeferredWakeSubmissionsRunOnceWoken) {
+  FarmConfig fc;
+  fc.nodes = 2;
+  LiquidFarm f(fc);
+  WorkloadGenerator gen;
+  std::vector<u32> expected;
+  for (int i = 0; i < 4; ++i) {
+    GeneratedJob g = gen.next();
+    ASSERT_TRUE(f.submit(std::move(g.job), /*wake=*/false));
+    expected.push_back(g.expected);
+  }
+  f.wake();
+  f.drain();
+  std::size_t done = 0;
+  while (auto out = f.try_pop_result()) {
+    ASSERT_TRUE(out->result.ok) << out->result.error;
+    EXPECT_EQ(out->result.readback.at(0), expected.at(out->id - 1));
+    ++done;
+  }
+  EXPECT_EQ(done, expected.size());
+}
+
 TEST(Farm, SubmitAfterShutdownIsRefused) {
   LiquidFarm f(FarmConfig{.nodes = 1});
   f.shutdown();

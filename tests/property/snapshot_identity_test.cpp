@@ -99,13 +99,13 @@ void check_identity(u64 seed, bool fast_a, bool fast_b, bool recorder) {
 
   // Re-snapshot bytes subsume registers, caches, memories, peripherals,
   // and the clock: one comparison, bit granularity.
-  const sim::SystemSnapshot fa = a.snapshot();
-  const sim::SystemSnapshot fb = b.snapshot();
-  if (fa.data != fb.data) {
+  const Bytes fa = a.snapshot().serialize();
+  const Bytes fb = b.snapshot().serialize();
+  if (fa != fb) {
     dump_flight("snapshot-divergence-seed" + std::to_string(seed) + "-a", a);
     dump_flight("snapshot-divergence-seed" + std::to_string(seed) + "-b", b);
   }
-  ASSERT_EQ(fa.data, fb.data) << "restored run diverged from straight run";
+  ASSERT_EQ(fa, fb) << "restored run diverged from straight run";
 
   // Belt and braces on the pieces a report would surface: the program's
   // memory footprint, the architectural registers, and the node metrics.
