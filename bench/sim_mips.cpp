@@ -4,21 +4,36 @@
 // functional model gets a third row with the basic-block translation
 // engine on top of the fast paths (its default configuration).
 //
-// Emits BENCH_sim.json (override with --out), one row per measurement:
+// Two workloads: `alu_loop`, a 5-instruction ALU/branch loop, on every
+// model; and `crc32`, progs/crc32.s (branchy, data-dependent, with a
+// load per byte and cycle-counter APB accesses per pass) looped forever
+// on the full node.
 //
-//   {"model": "integer_unit", "fast_paths": true, "block_engine": true,
-//    "host_mips": 310.7, "cycles_per_sec": 3.9e8,
-//    "instructions": 310700000, "secs": 1.0}
+// Emits BENCH_sim.json (override with --out), one row per measurement.
+// Each row splits its --secs budget into five equal samples and records
+// the median rate with the samples' min and max, plus the build type and
+// the host's core count:
+//
+//   {"model": "integer_unit", "workload": "alu_loop", "fast_paths": true,
+//    "block_engine": true, "host_mips": 310.7, "host_mips_min": 305.2,
+//    "host_mips_max": 314.9, "samples": 5, "cycles_per_sec": 3.9e8,
+//    "instructions": 310700000, "secs": 1.0, "build_type": "Release",
+//    "nproc": 4}
 //
 // `host_mips` is millions of simulated instructions retired per host
 // second; `cycles_per_sec` is simulated cycles per host second (the
 // number that sizes a wall-clock experiment budget).  The schema is
 // documented in docs/PERFORMANCE.md; CI uploads the file as the perf
 // trajectory artifact.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bus/ahb.hpp"
@@ -70,21 +85,50 @@ done: ba done
     nop
 )";
 
+#ifndef LA_PROGS_DIR
+#error "LA_PROGS_DIR must point at the progs/ directory"
+#endif
+#ifndef LA_BUILD_TYPE
+#define LA_BUILD_TYPE "unknown"
+#endif
+
+/// progs/crc32.s, made endless: its final jump back to the boot ROM's
+/// polling loop becomes a branch to its own entry, so every timed step
+/// is the kernel (and a program Start is needed only once).
+std::string crc32_forever() {
+  std::ifstream in(std::string(LA_PROGS_DIR) + "/crc32.s");
+  std::stringstream ss;
+  ss << in.rdbuf();
+  std::string src = ss.str();
+  const std::string from = "jmp 0x40";
+  const std::size_t at = src.find(from);
+  if (at == std::string::npos) {
+    throw std::runtime_error("progs/crc32.s: no '" + from + "' to rewrite");
+  }
+  src.replace(at, from.size(), "ba _start");
+  return src;
+}
+
 constexpr u64 kChunk = 1 << 16;  // steps per timed slice
+constexpr int kSamples = 5;      // samples per row (median, min, max)
 
 struct Row {
   std::string model;
+  std::string workload = "alu_loop";
   bool fast_paths = false;
   bool block_engine = false;  // integer_unit only; others have no such tier
-  double host_mips = 0;
-  double cycles_per_sec = 0;
-  u64 instructions = 0;
-  double secs = 0;
+  double host_mips = 0;       // median sample
+  double host_mips_min = 0;
+  double host_mips_max = 0;
+  double cycles_per_sec = 0;  // median sample
+  u64 instructions = 0;       // over all samples
+  double secs = 0;            // over all samples
 };
 
-/// Drive `step_chunk` (which advances the model by kChunk steps and
-/// returns retired-instruction and cycle deltas as running totals) until
-/// `budget_secs` of wall time passed; convert to rates.
+/// Drive `body` (which advances the model by one chunk and keeps the
+/// retired-instruction and cycle counts as running totals) for kSamples
+/// back-to-back samples of `budget_secs / kSamples` wall time each, and
+/// summarize the per-sample rates.
 template <typename Body>
 Row measure(const std::string& model, bool fast, bool block,
             double budget_secs, Body&& body) {
@@ -92,18 +136,30 @@ Row measure(const std::string& model, bool fast, bool block,
   row.model = model;
   row.fast_paths = fast;
   row.block_engine = block;
-  const auto start = Clock::now();
   u64 instructions = 0;
   u64 cycles = 0;
-  double elapsed = 0;
-  do {
-    body(instructions, cycles);
-    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-  } while (elapsed < budget_secs);
+  std::vector<double> mips;
+  std::vector<double> cps;
+  for (int s = 0; s < kSamples; ++s) {
+    const u64 i0 = instructions;
+    const u64 c0 = cycles;
+    const auto start = Clock::now();
+    double elapsed = 0;
+    do {
+      body(instructions, cycles);
+      elapsed = std::chrono::duration<double>(Clock::now() - start).count();
+    } while (elapsed < budget_secs / kSamples);
+    mips.push_back(static_cast<double>(instructions - i0) / elapsed / 1e6);
+    cps.push_back(static_cast<double>(cycles - c0) / elapsed);
+    row.secs += elapsed;
+  }
+  std::sort(mips.begin(), mips.end());
+  std::sort(cps.begin(), cps.end());
   row.instructions = instructions;
-  row.secs = elapsed;
-  row.host_mips = static_cast<double>(instructions) / elapsed / 1e6;
-  row.cycles_per_sec = static_cast<double>(cycles) / elapsed;
+  row.host_mips = mips[kSamples / 2];
+  row.host_mips_min = mips.front();
+  row.host_mips_max = mips.back();
+  row.cycles_per_sec = cps[kSamples / 2];
   return row;
 }
 
@@ -145,9 +201,9 @@ Row measure_leon_pipeline(bool fast, double secs) {
 }
 
 Row measure_liquid_system(bool fast, double secs,
-                          bool flight_recorder = false) {
+                          bool flight_recorder = false,
+                          const char* workload = "alu_loop") {
   sim::SystemConfig cfg;
-  cfg.fast_run_loop = fast;
   cfg.pipeline.host_fast_paths = fast;
   cfg.pipeline.cpu.host_decode_cache = fast;
   cfg.pipeline.cpu.host_block_engine = false;  // pipeline datapath
@@ -155,23 +211,28 @@ Row measure_liquid_system(bool fast, double secs,
   sim::LiquidSystem sys(cfg);
   sys.run(200);  // boot into the ROM polling loop
   ctrl::LiquidClient client(sys);
-  const auto img = sasm::assemble_or_throw(kSystemLoop);
+  const bool crc = std::strcmp(workload, "crc32") == 0;
+  const auto img =
+      sasm::assemble_or_throw(crc ? crc32_forever() : kSystemLoop);
   // The recorder-armed variant gets its own model name so the trajectory
-  // file keeps one row per (model, fast_paths) pair.
+  // file keeps one row per (model, workload, fast_paths) triple.
   const std::string model =
       flight_recorder ? "liquid_system_flight" : "liquid_system";
   Row row;
+  row.workload = workload;
   if (!client.load_program(img) || !client.start(img.entry)) {
     std::fprintf(stderr, "sim_mips: remote program start failed\n");
     row.model = model;
     row.fast_paths = fast;
     return row;
   }
-  return measure(model, fast, false, secs, [&](u64& instr, u64& cyc) {
+  row = measure(model, fast, false, secs, [&](u64& instr, u64& cyc) {
     sys.run(kChunk);
     instr = sys.cpu().stats().instructions;
     cyc = sys.cpu().stats().cycles;
   });
+  row.workload = workload;
+  return row;
 }
 
 int usage() {
@@ -179,7 +240,9 @@ int usage() {
                "usage: sim_mips [--out FILE] [--secs N]\n"
                "  --out FILE   output JSON path (default BENCH_sim.json)\n"
                "  --secs N     wall-clock budget per measurement, seconds\n"
-               "               (default 1.0; eight measurements total)\n");
+               "               (default 1.0, split into %d samples; ten\n"
+               "               measurements total)\n",
+               kSamples);
   return 2;
 }
 
@@ -212,17 +275,26 @@ int main(int argc, char** argv) {
   rows.push_back(measure_integer_unit(true, /*block=*/true, secs));
   // Observability overhead row: the flight recorder armed (sampled retire
   // ring) on the fast path.  The recorder compiled in but *disabled* is
-  // the plain liquid_system row above — its cost is one predictable
-  // null-pointer branch per batched step.
+  // the plain liquid_system row above.
   rows.push_back(measure_liquid_system(true, secs, /*flight_recorder=*/true));
-
-  std::printf("%-16s %-6s %-6s %12s %16s\n", "model", "fast", "block",
-              "host MIPS", "cycles/sec");
-  for (const Row& r : rows) {
-    std::printf("%-16s %-6s %-6s %12.2f %16.3e\n", r.model.c_str(),
-                r.fast_paths ? "on" : "off", r.block_engine ? "on" : "off",
-                r.host_mips, r.cycles_per_sec);
+  // A real kernel on the full node, fast paths off and on.
+  for (const bool fast : {false, true}) {
+    rows.push_back(measure_liquid_system(fast, secs, false, "crc32"));
   }
+
+  const unsigned nproc = std::thread::hardware_concurrency();
+  std::printf("%-20s %-9s %-5s %-5s %10s %10s %10s %12s\n", "model",
+              "workload", "fast", "block", "MIPS p50", "min", "max",
+              "cycles/sec");
+  for (const Row& r : rows) {
+    std::printf("%-20s %-9s %-5s %-5s %10.2f %10.2f %10.2f %12.3e\n",
+                r.model.c_str(), r.workload.c_str(),
+                r.fast_paths ? "on" : "off", r.block_engine ? "on" : "off",
+                r.host_mips, r.host_mips_min, r.host_mips_max,
+                r.cycles_per_sec);
+  }
+  std::printf("(%d samples per row, %s build, %u host cores)\n", kSamples,
+              LA_BUILD_TYPE, nproc);
 
   FILE* f = std::fopen(out_path.c_str(), "wb");
   if (f == nullptr) {
@@ -233,15 +305,20 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,
-                 "  {\"model\": \"%s\", \"fast_paths\": %s, "
-                 "\"block_engine\": %s, "
-                 "\"host_mips\": %.3f, \"cycles_per_sec\": %.1f, "
-                 "\"instructions\": %llu, \"secs\": %.3f}%s\n",
-                 r.model.c_str(), r.fast_paths ? "true" : "false",
-                 r.block_engine ? "true" : "false",
-                 r.host_mips, r.cycles_per_sec,
+                 "  {\"model\": \"%s\", \"workload\": \"%s\", "
+                 "\"fast_paths\": %s, \"block_engine\": %s, "
+                 "\"host_mips\": %.3f, \"host_mips_min\": %.3f, "
+                 "\"host_mips_max\": %.3f, \"samples\": %d, "
+                 "\"cycles_per_sec\": %.1f, \"instructions\": %llu, "
+                 "\"secs\": %.3f, \"build_type\": \"%s\", "
+                 "\"nproc\": %u}%s\n",
+                 r.model.c_str(), r.workload.c_str(),
+                 r.fast_paths ? "true" : "false",
+                 r.block_engine ? "true" : "false", r.host_mips,
+                 r.host_mips_min, r.host_mips_max, kSamples,
+                 r.cycles_per_sec,
                  static_cast<unsigned long long>(r.instructions), r.secs,
-                 i + 1 < rows.size() ? "," : "");
+                 LA_BUILD_TYPE, nproc, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
   std::fclose(f);

@@ -1,13 +1,15 @@
-// Five-leg conformance replay.
+// Six-leg conformance replay.
 //
 // Every vector is run against both CPU models with the host fast paths on
-// and off, plus the block translation engine:
+// and off, plus each model's run() loop tier:
 //
 //   iu-slow    cpu::IntegerUnit, host_decode_cache off  (the reference)
 //   iu-fast    cpu::IntegerUnit, host_decode_cache on
 //   iu-block   cpu::IntegerUnit via run() with host_block_engine on
 //   pipe-slow  cpu::LeonPipeline, host_fast_paths off
 //   pipe-fast  cpu::LeonPipeline, host_fast_paths on
+//   pipe-run   cpu::LeonPipeline via run() with host_fast_paths on, the
+//              code lines resident in the I-cache (the line tier)
 //
 // A leg passes when the full architectural post-state (pc/npc, PSR, Y,
 // WIM, TBR, error mode, every register and ASR, the touched memory words)
@@ -23,11 +25,18 @@
 
 namespace la::conform {
 
-enum class Leg : u8 { kIuSlow = 0, kIuFast, kPipeSlow, kPipeFast, kIuBlock };
+enum class Leg : u8 {
+  kIuSlow = 0,
+  kIuFast,
+  kPipeSlow,
+  kPipeFast,
+  kIuBlock,
+  kPipeRun,
+};
 
-inline constexpr Leg kAllLegs[] = {Leg::kIuSlow, Leg::kIuFast,
-                                   Leg::kIuBlock, Leg::kPipeSlow,
-                                   Leg::kPipeFast};
+inline constexpr Leg kAllLegs[] = {Leg::kIuSlow,   Leg::kIuFast,
+                                   Leg::kIuBlock,  Leg::kPipeSlow,
+                                   Leg::kPipeFast, Leg::kPipeRun};
 
 /// Stable leg name ("iu-slow", ...), used in reports and `lvec --leg`.
 const char* leg_name(Leg leg);
@@ -39,7 +48,7 @@ bool leg_from_name(const std::string& name, Leg& out);
 /// divergence: "<case> [<leg>] <field>: <got> vs <want>".
 std::string replay_vector(const TestVector& v, Leg leg);
 
-/// Replay on all five legs; first failing leg's report wins.
+/// Replay on all six legs; first failing leg's report wins.
 std::string replay_vector_all(const TestVector& v);
 
 }  // namespace la::conform

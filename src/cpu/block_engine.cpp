@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "cpu/alu_ops.hpp"
 #include "cpu/integer_unit.hpp"
 #include "isa/decode.hpp"
 #include "isa/traps.hpp"
@@ -254,40 +255,12 @@ u64 BlockEngine::exec(IntegerUnit& iu, Block* blk, u64 steps_left,
   };
   rebuild_regmap(cached_cwp);
 
-// X-macro over the inline ALU handlers: (label stem, HandlerKind, body).
-// Each body mirrors the corresponding one-line case of
-// IntegerUnit::execute() verbatim (A/B are its `a`/`b` operands) and is
-// instantiated twice — a register form (B = rs2) and an immediate form
+// The inline ALU handlers come from the shared X-macro (cpu/alu_ops.hpp),
+// instantiated twice: a register form (B = rs2) and an immediate form
 // (B = simm13), selected by the translator via the i-bit.
-#define LA_BE_ALU_LIST(M)                                                  \
-  M(and, kAnd, LA_BE_RD(A & B))                                            \
-  M(andn, kAndn, LA_BE_RD(A & ~B))                                         \
-  M(or, kOr, LA_BE_RD(A | B))                                              \
-  M(xor, kXor, LA_BE_RD(A ^ B))                                            \
-  M(xnor, kXnor, LA_BE_RD(A ^ ~B))                                         \
-  M(sll, kSll, LA_BE_RD(A << (B & 31)))                                    \
-  M(srl, kSrl, LA_BE_RD(A >> (B & 31)))                                    \
-  M(sra, kSra,                                                             \
-    LA_BE_RD(static_cast<u32>(static_cast<i32>(A) >> (B & 31))))           \
-  M(sethi, kSethi, LA_BE_RD(B))                                            \
-  M(add, kAdd, LA_BE_RD(A + B))                                            \
-  M(addx, kAddx, LA_BE_RD(A + B + (st.psr.c ? 1 : 0)))                     \
-  M(sub, kSub, LA_BE_RD(A - B))                                            \
-  M(subx, kSubx,                                                           \
-    LA_BE_RD(A - B - (!iu.cfg_.quirk_subx_no_carry && st.psr.c ? 1 : 0)))  \
-  M(andcc, kAndcc, const u32 r = A & B; iu.set_icc_logic(r); LA_BE_RD(r))  \
-  M(orcc, kOrcc, const u32 r = A | B; iu.set_icc_logic(r); LA_BE_RD(r))    \
-  M(xorcc, kXorcc, const u32 r = A ^ B; iu.set_icc_logic(r); LA_BE_RD(r))  \
-  M(addcc, kAddcc, const u32 r = A + B; iu.set_icc_add(A, B, r, false);    \
-    LA_BE_RD(r))                                                           \
-  M(addxcc, kAddxcc, const bool cin = st.psr.c;                            \
-    const u32 r = A + B + (cin ? 1 : 0); iu.set_icc_add(A, B, r, cin);     \
-    LA_BE_RD(r))                                                           \
-  M(subcc, kSubcc, const u32 r = A - B; iu.set_icc_sub(A, B, r, false);    \
-    LA_BE_RD(r))                                                           \
-  M(subxcc, kSubxcc, const bool cin = st.psr.c;                            \
-    const u32 r = A - B - (cin ? 1 : 0); iu.set_icc_sub(A, B, r, cin);     \
-    LA_BE_RD(r))
+#define LA_ALU_RD(v) (*wp[op->d] = (v))
+#define LA_ALU_PSR st.psr
+#define LA_ALU_SUBX_NO_CARRY iu.cfg_.quirk_subx_no_carry
 
 #if defined(__GNUC__) || defined(__clang__)
   // Token-threaded dispatch: one indirect jump per op, no central loop.
@@ -296,9 +269,9 @@ u64 BlockEngine::exec(IntegerUnit& iu, Block* blk, u64 steps_left,
 #define LA_BE_LABEL_REG(name, kind, ...) &&lab_##name,
 #define LA_BE_LABEL_IMM(name, kind, ...) &&lab_##name##_i,
   static const void* const kLabels[] = {
-      LA_BE_ALU_LIST(LA_BE_LABEL_REG)
+      LA_ALU_OPS(LA_BE_LABEL_REG)
       &&lab_generic, &&lab_bicc, &&lab_cti, &&lab_slot_gate, &&lab_end,
-      LA_BE_ALU_LIST(LA_BE_LABEL_IMM)
+      LA_ALU_OPS(LA_BE_LABEL_IMM)
   };
 #undef LA_BE_LABEL_IMM
 #undef LA_BE_LABEL_REG
@@ -328,11 +301,9 @@ u64 BlockEngine::exec(IntegerUnit& iu, Block* blk, u64 steps_left,
     LA_BE_JUMP();    \
   } while (0)
 
-// Inline ALU handler: body mirrors the corresponding one-line case of
-// IntegerUnit::execute() verbatim (A/B are its `a`/`b` operands), then
-// retires with the straight-line next-PC form — the translator guarantees
+// Inline ALU handler: the shared body (A/B are execute()'s `a`/`b`
+// operands), then the straight-line retire — the translator guarantees
 // npc == pc + 4 on every body op.
-#define LA_BE_RD(v) (*wp[op->d] = (v))
 
 #define LA_BE_ALU(label, BEXPR, ...)                                      \
   label : {                                                               \
@@ -363,8 +334,8 @@ u64 BlockEngine::exec(IntegerUnit& iu, Block* blk, u64 steps_left,
     goto lab_##name##_i;
 dispatch:
   switch (op->kind) {
-    LA_BE_ALU_LIST(LA_BE_CASE_REG)
-    LA_BE_ALU_LIST(LA_BE_CASE_IMM)
+    LA_ALU_OPS(LA_BE_CASE_REG)
+    LA_ALU_OPS(LA_BE_CASE_IMM)
     case kOpGeneric: goto lab_generic;
     case kOpBicc: goto lab_bicc;
     case kOpCti: goto lab_cti;
@@ -375,8 +346,8 @@ dispatch:
 #undef LA_BE_CASE_REG
 #endif
 
-  LA_BE_ALU_LIST(LA_BE_ALU_REG)
-  LA_BE_ALU_LIST(LA_BE_ALU_IMM)
+  LA_ALU_OPS(LA_BE_ALU_REG)
+  LA_ALU_OPS(LA_BE_ALU_IMM)
 
 lab_generic : {
   // Everything stateful (memory, muldiv, windows, state registers, Ticc)
@@ -533,8 +504,9 @@ out:
 #undef LA_BE_ALU_IMM
 #undef LA_BE_ALU_REG
 #undef LA_BE_ALU
-#undef LA_BE_ALU_LIST
-#undef LA_BE_RD
+#undef LA_ALU_SUBX_NO_CARRY
+#undef LA_ALU_PSR
+#undef LA_ALU_RD
 #undef LA_BE_NEXT
 #undef LA_BE_PROLOGUE
 #undef LA_BE_JUMP

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/bits.hpp"
+#include "cpu/alu_ops.hpp"
 #include "cpu/block_engine.hpp"
 
 namespace la::cpu {
@@ -65,26 +66,16 @@ void IntegerUnit::take_trap(u8 tt) {
   annul_next_ = false;
 }
 
-void IntegerUnit::set_icc_logic(u32 res) {
-  st_.psr.n = (res >> 31) != 0;
-  st_.psr.z = res == 0;
-  st_.psr.v = false;
-  st_.psr.c = false;
-}
+// The condition-code formulas live in cpu/alu_ops.hpp, shared with the
+// inline ALU handlers of both threaded tiers.
+void IntegerUnit::set_icc_logic(u32 res) { icc_logic(st_.psr, res); }
 
 void IntegerUnit::set_icc_add(u32 a, u32 b, u32 res, bool carry_in) {
-  st_.psr.n = (res >> 31) != 0;
-  st_.psr.z = res == 0;
-  st_.psr.v = (((a & b & ~res) | (~a & ~b & res)) >> 31) != 0;
-  const u64 wide = u64{a} + u64{b} + (carry_in ? 1 : 0);
-  st_.psr.c = (wide >> 32) != 0;
+  icc_add(st_.psr, a, b, res, carry_in);
 }
 
 void IntegerUnit::set_icc_sub(u32 a, u32 b, u32 res, bool carry_in) {
-  st_.psr.n = (res >> 31) != 0;
-  st_.psr.z = res == 0;
-  st_.psr.v = (((a & ~b & ~res) | (~a & b & res)) >> 31) != 0;
-  st_.psr.c = u64{a} < u64{b} + (carry_in ? 1 : 0);
+  icc_sub(st_.psr, a, b, res, carry_in);
 }
 
 u8 IntegerUnit::execute(const Instruction& ins, StepResult& res) {

@@ -7,7 +7,9 @@
 #include <vector>
 
 #include "common/bits.hpp"
+#include "cpu/alu_ops.hpp"
 #include "isa/decode.hpp"
+#include "isa/handler_table.hpp"
 #include "isa/traps.hpp"
 
 namespace la::cpu {
@@ -34,6 +36,16 @@ void line_write(u8* line, u32 off, unsigned size, u64 v) {
   }
 }
 
+// Line-tier dispatch tokens: the register forms of the inline ALU handlers
+// (isa::HandlerKind's ALU range, in order), then the two structural
+// tokens, then the immediate-form twins at kOpAluImmBase.
+enum : u8 {
+  kOpExecute = static_cast<u8>(isa::HandlerKind::kGeneric),
+  kOpBicc = static_cast<u8>(isa::HandlerKind::kCount),
+  kOpAluImmBase,
+  kOpKinds = kOpAluImmBase + static_cast<u8>(isa::HandlerKind::kGeneric),
+};
+
 }  // namespace
 
 LeonPipeline::LeonPipeline(const PipelineConfig& cfg, bus::AhbBus& bus,
@@ -48,6 +60,7 @@ LeonPipeline::LeonPipeline(const PipelineConfig& cfg, bus::AhbBus& bus,
       imirror_addr_(cfg.icache.num_lines(), kNoMirrorLine),
       imirror_ins_(static_cast<std::size_t>(cfg.icache.num_lines()) *
                    cfg.icache.words_per_line()),
+      imirror_ops_(imirror_ins_.size()),
       iline_mask_(cfg.icache.line_bytes - 1),
       iline_words_(cfg.icache.words_per_line()),
       iline_words_shift_(
@@ -109,12 +122,71 @@ u32 LeonPipeline::cache_control() const {
 
 void LeonPipeline::predecode_line(u32 slot, Addr line_addr, const u8* line) {
   imirror_addr_[slot] = line_addr;
-  isa::Instruction* dst =
-      &imirror_ins_[static_cast<std::size_t>(slot) * iline_words_];
+  const std::size_t base = static_cast<std::size_t>(slot) * iline_words_;
   for (u32 w = 0; w < iline_words_; ++w) {
     const u32 word = static_cast<u32>(line_read(line, w * 4, 4));
-    dst[w] = predecode_.lookup(word);
+    const isa::Instruction& ins = predecode_.lookup(word);
+    imirror_ins_[base + w] = ins;
+    // The line-tier token: isa::handler_info's inline ALU kinds (immediate
+    // forms resolved into their twin token, sethi's constant pre-shifted),
+    // Bicc with cond/annul/displacement folded in, execute() for the rest.
+    LineOp& o = imirror_ops_[base + w];
+    o = LineOp{};
+    if (ins.mn == Mnemonic::kBicc) {
+      o.kind = kOpBicc;
+      o.a = static_cast<u8>(ins.cond);
+      o.b = ins.annul ? 1 : 0;
+      o.imm = static_cast<u32>(ins.disp) << 2;
+      continue;
+    }
+    const isa::HandlerKind kind = isa::handler_info(ins.mn).kind;
+    if (kind == isa::HandlerKind::kGeneric) {
+      o.kind = kOpExecute;
+      continue;
+    }
+    o.kind = static_cast<u8>(kind);
+    o.a = ins.rs1;
+    o.b = ins.rs2;
+    o.d = ins.rd;
+    if (kind == isa::HandlerKind::kSethi) {
+      o.kind = static_cast<u8>(kOpAluImmBase + o.kind);
+      o.imm = ins.imm22 << 10;
+    } else if (ins.imm) {
+      o.kind = static_cast<u8>(kOpAluImmBase + o.kind);
+      o.imm = static_cast<u32>(ins.simm13);
+    }
   }
+}
+
+void LeonPipeline::rebuild_regmap() {
+  regmap_cwp_ = st_.psr.cwp;
+  u32* base = st_.regs.data();
+  regmap_base_ = base;
+  rp_[0] = &zero_src_;
+  wp_[0] = &g0_sink_;
+  for (unsigned r = 1; r < 32; ++r) {
+    u32* p = base + st_.regs.slot(regmap_cwp_, static_cast<u8>(r));
+    rp_[r] = p;
+    wp_[r] = p;
+  }
+}
+
+bool LeonPipeline::enter_line(Addr pc) {
+  const cache::HitRef h = icache_.lookup_hit(pc);
+  if (h.data == nullptr) return false;
+  const Addr line = pc & ~static_cast<Addr>(iline_mask_);
+  // A stale slot (a line restored from a snapshot, whose mirror load_state
+  // dropped) is re-digested from the resident bytes — exactly what its
+  // fill decoded, since nothing writes instruction-side lines in place.
+  if (imirror_addr_[h.slot] != line) predecode_line(h.slot, line, h.data);
+  last_iline_ = line;
+  last_islot_ = h.slot;
+  last_igen_ = icache_.gen();
+  const std::size_t base = static_cast<std::size_t>(h.slot)
+                           << iline_words_shift_;
+  last_imirror_ = &imirror_ins_[base];
+  last_iops_ = &imirror_ops_[base];
+  return true;
 }
 
 LeonPipeline::MemResult LeonPipeline::ifetch(
@@ -820,16 +892,6 @@ StepResult LeonPipeline::step() {
 
 void LeonPipeline::step_into(StepResult& res) { step_impl<true>(res); }
 
-void LeonPipeline::step_into_hot(StepResult& res) {
-  // The observer contract always gets a fully-populated result; without
-  // one nothing can read `res.ins`, so the 32-byte copy is skipped.
-  if (obs_ != nullptr) {
-    step_impl<true>(res);
-  } else {
-    step_impl<false>(res);
-  }
-}
-
 template <bool kCopyIns>
 void LeonPipeline::step_impl(StepResult& res) {
   // kCopyIns=false is the observerless run-loop body: nothing outside this
@@ -861,8 +923,7 @@ void LeonPipeline::step_impl(StepResult& res) {
     return;
   }
 
-  if (st_.psr.et && irq_level_ != 0 &&
-      (irq_level_ == 15 || irq_level_ > st_.psr.pil)) {
+  if (irq_pending()) {
     const u8 tt = static_cast<u8>(0x10 + (irq_level_ & 0xf));
     take_trap(tt);
     res.trapped = true;
@@ -906,7 +967,12 @@ void LeonPipeline::step_impl(StepResult& res) {
     }
   }
   if constexpr (kCopyIns) res.ins = *pins;
+  finish_step<kCopyIns>(*pins, fetch_stall, res);
+}
 
+template <bool kCopyIns>
+void LeonPipeline::finish_step(const Instruction& ins, Cycles fetch_stall,
+                               StepResult& res) {
   if (annul_next_) {
     annul_next_ = false;
     res.annulled = true;
@@ -926,7 +992,7 @@ void LeonPipeline::step_impl(StepResult& res) {
   res.cycles = 1;
   // Instruction-mix accounting (branches/calls/muldiv/loads/stores) lives
   // inside execute's no-trap paths — same retired-only counts, one switch.
-  const u8 tt = execute(*pins, res);
+  const u8 tt = execute(ins, res);
   if (tt != kNoTrap) [[unlikely]] {
     take_trap(tt);
     res.trapped = true;
@@ -947,37 +1013,330 @@ void LeonPipeline::step_impl(StepResult& res) {
   }
 }
 
-// noinline: the per-step reference loop must keep the code generation the
-// plain step() path always had — run()'s flatten below must not reach it.
-__attribute__((noinline)) u64 LeonPipeline::run_slow(u64 max_steps,
-                                                     Addr halt_pc) {
+u64 LeonPipeline::run(u64 max_steps, Addr halt_pc) {
+  RunWindow w;
+  w.max_steps = max_steps;
+  w.halt_pc = halt_pc;
+  return run(w);
+}
+
+u64 LeonPipeline::run(const RunWindow& w) {
+  // The line tier needs the mirror (host fast paths), no observer (with
+  // one attached, every step's result must be materialized for it), and
+  // computed goto.
+#if defined(__GNUC__) || defined(__clang__)
+  if (obs_ == nullptr && fast_) return run_lines(w);
+#endif
+  return run_steps(w);
+}
+
+namespace {
+constexpr bool kNeverStop = false;
+}  // namespace
+
+u64 LeonPipeline::run_steps(const RunWindow& w) {
+  const bool* const stop =
+      w.stop_flag != nullptr ? w.stop_flag : &kNeverStop;
   u64 n = 0;
-  while (n < max_steps && !st_.error_mode && st_.pc != halt_pc) {
+  while (n < w.max_steps && !st_.error_mode && st_.pc != w.halt_pc) {
+    last_run_pc_ = st_.pc;
     step();
     ++n;
+    if (*clock_ >= w.deadline || *stop || last_run_pc_ < w.pc_fence) break;
   }
   return n;
 }
 
-// flatten: inline the whole step body (execute included) into the run
-// loop so the reused StepResult never escapes and can live in registers.
-__attribute__((flatten)) u64 LeonPipeline::run(u64 max_steps, Addr halt_pc) {
-  if (obs_ == nullptr && fast_) {
-    // Hot loop: one StepResult reused across iterations and never read
-    // (see step_impl's kCopyIns contract); with no observer attached
-    // nothing outside this frame can see the per-step results, so the
-    // behaviour is identical.  Gated by host_fast_paths so the knob-off
-    // configuration exercises the plain per-step path end to end.
-    StepResult res;
-    u64 n = 0;
-    while (n < max_steps && !st_.error_mode && st_.pc != halt_pc) {
-      step_impl<false>(res);
-      ++n;
-    }
-    return n;
+#if defined(__GNUC__) || defined(__clang__)
+// The line tier: run_steps() with the fetch and the hot instructions
+// threaded over the predecoded I-cache mirror.  Per step it does exactly
+// what step() does, in the same order:
+//  - fetch: within the current line the streak re-hit (touch_read_hit),
+//    on a line change the lookup_hit probe (enter_line); a miss, poisoned
+//    line, or uncacheable PC takes the whole step through step_impl();
+//  - annulled slot, inline ALU/sethi op, or inline Bicc: the same state,
+//    latch, retire-counter, and cycle updates execute() and finish_step()
+//    make, with the ALU bodies from cpu/alu_ops.hpp;
+//  - every other instruction: finish_step() -> execute() on the mirrored
+//    decode, with the members synced first (the bus and write buffer read
+//    the clock);
+//  - wedge, deliverable interrupt: step_impl().
+// Inline ops cannot change the caches, CWP, error mode, the wedge, the
+// interrupt inputs, or the stop flag, so those are re-checked only after
+// the steps that can.  Only lines wholly at or above the PC fence and not
+// holding the halt PC run inline, so neither needs a per-op test either.
+// The mirror is valid exactly while the line is resident: every fill
+// re-digests its slot, so the I-cache's own fill, flush, and invalidate
+// events are the only invalidation there is.
+u64 LeonPipeline::run_lines(const RunWindow& w) {
+  const bool* const stop =
+      w.stop_flag != nullptr ? w.stop_flag : &kNeverStop;
+  const u64 max_steps = w.max_steps;
+  const Cycles deadline = w.deadline;
+  const Addr halt_pc = w.halt_pc;
+  const Addr fence = w.pc_fence;
+  const u32 line_mask = iline_mask_;
+  const Addr halt_line = halt_pc & ~static_cast<Addr>(line_mask);
+  CpuState& st = st_;
+  StepResult res;
+  u64 n = 0;
+  Addr stepped = last_run_pc_;
+
+  // pc/npc, the clock, the annul latch, and the retire count run in
+  // locals while ops execute inline; SYNC_OUT writes them back before
+  // anything that reads the members and SYNC_IN reloads them after.
+  // stats_.cycles moves in lockstep with the clock here, so it folds in
+  // as the clock's delta.
+  Addr pc = st.pc;
+  Addr npc = st.npc;
+  Cycles clk = *clock_;
+  u64 retired = 0;
+  bool annul = annul_next_;
+
+  // Inline steps may run while n < n_stop: the step budget and the
+  // deadline folded into one bound, valid while every step costs one
+  // cycle (plain ops, annulled slots) and re-derived when one costs more
+  // or a non-inline step ran.  A window's first step always runs.
+  u64 n_stop = 0;
+  const auto set_stop = [&](Cycles min_left) {
+    const Cycles left = std::max(clk < deadline ? deadline - clk : 0,
+                                 min_left);
+    n_stop = left >= max_steps - n ? max_steps : n + left;
+  };
+
+  // The current line: the streak memo's slot while its generation holds
+  // and the line may run inline.
+  Addr cur_line = kNoMirrorLine;
+  u32 slot = 0;
+  const LineOp* ops = nullptr;
+  const isa::Instruction* insns = nullptr;
+  const LineOp* op = nullptr;
+  const auto inline_line = [&](Addr line) {
+    return line >= fence && line != halt_line;
+  };
+  const auto load_line = [&] {
+    cur_line = hot_ifetch_ && last_igen_ == icache_.gen() &&
+                       inline_line(last_iline_)
+                   ? last_iline_
+                   : kNoMirrorLine;
+    slot = last_islot_;
+    ops = last_iops_;
+    insns = last_imirror_;
+  };
+  load_line();
+
+  // Branch-free operand access for the inline ALU handlers.
+  sync_regmap();
+  u32* const* const rp = rp_;
+  u32* const* const wp = wp_;
+
+#define LA_LT_SYNC_OUT()            \
+  do {                              \
+    st.pc = pc;                     \
+    st.npc = npc;                   \
+    stats_.cycles += clk - *clock_; \
+    *clock_ = clk;                  \
+    stats_.instructions += retired; \
+    retired = 0;                    \
+    annul_next_ = annul;            \
+  } while (0)
+#define LA_LT_SYNC_IN()  \
+  do {                   \
+    pc = st.pc;          \
+    npc = st.npc;        \
+    clk = *clock_;       \
+    annul = annul_next_; \
+  } while (0)
+
+  // Token-threaded dispatch.  Every token has two entry points: the
+  // handler proper (window check and fetch accounting first) and its
+  // body, entered from `enter`, whose lookup_hit probe already did the
+  // fetch accounting.  Table order is the token numbering.
+#define LA_LT_LABEL_REG(name, kind, ...) &&lab_##name,
+#define LA_LT_LABEL_IMM(name, kind, ...) &&lab_##name##_i,
+#define LA_LT_BODY_REG(name, kind, ...) &&lab_##name##_body,
+#define LA_LT_BODY_IMM(name, kind, ...) &&lab_##name##_i_body,
+  static const void* const kLabels[] = {
+      LA_ALU_OPS(LA_LT_LABEL_REG)
+      &&lab_execute, &&lab_bicc,
+      LA_ALU_OPS(LA_LT_LABEL_IMM)
+  };
+  static const void* const kBodies[] = {
+      LA_ALU_OPS(LA_LT_BODY_REG)
+      &&lab_execute_body, &&lab_bicc_body,
+      LA_ALU_OPS(LA_LT_BODY_IMM)
+  };
+#undef LA_LT_BODY_IMM
+#undef LA_LT_BODY_REG
+#undef LA_LT_LABEL_IMM
+#undef LA_LT_LABEL_REG
+  static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kOpKinds);
+  static_assert(sizeof(kBodies) / sizeof(kBodies[0]) == kOpKinds);
+#define LA_LT_JUMP() goto* kLabels[op->kind]
+#define LA_LT_JUMP_BODY() goto* kBodies[op->kind]
+
+// Dispatch the instruction at pc (after a step that cannot leave an
+// annulment pending).
+#define LA_LT_DISPATCH()                           \
+  do {                                             \
+    if ((pc & ~line_mask) != cur_line) goto enter; \
+    op = ops + ((pc & line_mask) >> 2);            \
+    LA_LT_JUMP();                                  \
+  } while (0)
+// Dispatch after a step that may have set the annul latch.
+#define LA_LT_DISPATCH_ANNUL()                     \
+  do {                                             \
+    if ((pc & ~line_mask) != cur_line) goto enter; \
+    op = ops + ((pc & line_mask) >> 2);            \
+    if (annul) goto annulled;                      \
+    LA_LT_JUMP();                                  \
+  } while (0)
+// A handler's entry: the window check, then the streak re-hit.
+#define LA_LT_ENTRY(label)                 \
+  label:                                   \
+  if (n >= n_stop) goto out_sync;          \
+  icache_.touch_read_hit(slot);
+
+#define LA_ALU_RD(v) (*wp[op->d] = (v))
+#define LA_ALU_PSR st.psr
+#define LA_ALU_SUBX_NO_CARRY cfg_.cpu.quirk_subx_no_carry
+#define LA_LT_ALU(label, BEXPR, ...) \
+  LA_LT_ENTRY(label)                 \
+  label##_body : {                   \
+    stepped = pc;                    \
+    const u32 A = *rp[op->a];        \
+    const u32 B = (BEXPR);           \
+    (void)A;                         \
+    (void)B;                         \
+    __VA_ARGS__;                     \
+    cti_taken_ = false;              \
+    pc = npc;                        \
+    npc += 4;                        \
+    ++n;                             \
+    ++clk;                           \
+    ++retired;                       \
+    LA_LT_DISPATCH();                \
   }
-  return run_slow(max_steps, halt_pc);
+#define LA_LT_ALU_REG(name, kind, ...) \
+  LA_LT_ALU(lab_##name, *rp[op->b], __VA_ARGS__)
+#define LA_LT_ALU_IMM(name, kind, ...) \
+  LA_LT_ALU(lab_##name##_i, op->imm, __VA_ARGS__)
+
+  if (max_steps == 0 || st.error_mode || pc == halt_pc) goto out;
+  if (wedged_ || irq_pending()) goto slow;
+  set_stop(1);
+  LA_LT_DISPATCH_ANNUL();
+
+  LA_ALU_OPS(LA_LT_ALU_REG)
+  LA_ALU_OPS(LA_LT_ALU_IMM)
+
+  LA_LT_ENTRY(lab_bicc)
+lab_bicc_body : {
+  // execute()'s kBicc case; a = cond, b = annul bit, imm = disp << 2.
+  stepped = pc;
+  ++stats_.branches;
+  const auto cond = static_cast<Cond>(op->a);
+  bool taken = true;
+  if (cond == Cond::kA) {
+    annul = op->b != 0;
+  } else if (!isa::eval_cond(cond, st.psr.n, st.psr.z, st.psr.v,
+                             st.psr.c)) {
+    taken = false;
+    annul = op->b != 0;
+  }
+  cti_taken_ = taken;
+  Addr next = npc + 4;
+  if (taken) {
+    next = pc + op->imm;
+    cti_target_ = next;
+    clk += cfg_.cpu.cti_extra;
+    ++stats_.taken_branches;
+  }
+  pc = npc;
+  npc = next;
+  ++n;
+  ++clk;
+  ++retired;
+  if (taken) set_stop(0);  // cti_extra: the step cost more than a cycle
+  LA_LT_DISPATCH_ANNUL();
 }
+
+  LA_LT_ENTRY(annulled)
+annulled_body:
+  // finish_step()'s annul path: the fetch is charged, nothing executes.
+  stepped = pc;
+  annul = false;
+  pc = npc;
+  npc += 4;
+  ++n;
+  ++clk;
+  ++stats_.annulled;
+  LA_LT_DISPATCH();
+
+enter:
+  // Line change: window check, then probe, re-digest a stale slot, and
+  // re-point the memo; lines that may not run inline, and misses, take
+  // the whole step through the per-step path.
+  if (n >= n_stop) goto out_sync;
+  if (!hot_ifetch_ || !inline_line(pc & ~static_cast<Addr>(line_mask)) ||
+      !enter_line(pc)) {
+    if (pc == halt_pc) goto out_sync;
+    goto slow;
+  }
+  load_line();
+  op = ops + ((pc & line_mask) >> 2);
+  if (annul) goto annulled_body;
+  LA_LT_JUMP_BODY();
+
+  LA_LT_ENTRY(lab_execute)
+lab_execute_body:
+  stepped = pc;
+  LA_LT_SYNC_OUT();
+  finish_step<false>(insns[op - ops], 0, res);
+  LA_LT_SYNC_IN();
+  goto after_step;
+
+slow:
+  stepped = pc;
+  LA_LT_SYNC_OUT();
+  step_impl<false>(res);
+  LA_LT_SYNC_IN();
+
+after_step:
+  // A non-inline step may have moved anything: re-derive what the inline
+  // handlers assume, then the window checks the per-step loop makes.
+  ++n;
+  sync_regmap();
+  load_line();
+  if (n >= max_steps || clk >= deadline || *stop || stepped < fence ||
+      st.error_mode || pc == halt_pc) {
+    goto out;
+  }
+  if (wedged_ || irq_pending()) goto slow;
+  set_stop(0);
+  LA_LT_DISPATCH_ANNUL();
+
+out_sync:
+  LA_LT_SYNC_OUT();
+out:
+  last_run_pc_ = stepped;
+  return n;
+
+#undef LA_LT_ALU_IMM
+#undef LA_LT_ALU_REG
+#undef LA_LT_ALU
+#undef LA_ALU_SUBX_NO_CARRY
+#undef LA_ALU_PSR
+#undef LA_ALU_RD
+#undef LA_LT_ENTRY
+#undef LA_LT_DISPATCH_ANNUL
+#undef LA_LT_DISPATCH
+#undef LA_LT_JUMP_BODY
+#undef LA_LT_JUMP
+#undef LA_LT_SYNC_IN
+#undef LA_LT_SYNC_OUT
+}
+#endif  // computed goto
 
 namespace {
 constexpr u32 kPipeTag = snap_tag("PIPE");

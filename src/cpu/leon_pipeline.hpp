@@ -7,9 +7,12 @@
 // behaviour, and peripheral access costs all land in the cycle count the
 // paper's hardware counter measures).
 //
-// The architectural semantics here are implemented independently of
+// execute()'s architectural semantics are implemented independently of
 // cpu::IntegerUnit; tests/property/cpu_equivalence_test.cpp runs random
-// programs through both and requires identical architectural state.
+// programs through both and requires identical architectural state.  The
+// line tier's inline ALU bodies are the block engine's (cpu/alu_ops.hpp),
+// held to execute() by the fast-vs-slow equivalence grid and the pipe-run
+// conformance leg.
 #pragma once
 
 #include <vector>
@@ -59,6 +62,24 @@ struct PipelineStats {
   u64 muldiv = 0;
 };
 
+/// One window of LeonPipeline::run(): the step budget, an optional halt
+/// PC, and the events that end the window early.  The budget and halt PC
+/// are checked before each step, the early-stop events after it, so a
+/// window steps at least once unless the core is in error mode, sits on
+/// `halt_pc`, or has no budget.
+struct RunWindow {
+  u64 max_steps = 0;
+  /// Stop before stepping the instruction at this PC.
+  Addr halt_pc = 0xffffffff;
+  /// Stop once the clock has reached this cycle.
+  Cycles deadline = ~Cycles{0};
+  /// Stop once this flag is set (null = never); an instruction's bus
+  /// access may raise it mid-step.
+  const bool* stop_flag = nullptr;
+  /// Stop after stepping an instruction whose PC is below this.
+  Addr pc_fence = 0;
+};
+
 /// Cacheability decision for an address (the system wires this to its
 /// memory map; tests can cache everything).  The decision must be uniform
 /// within a cache line: cacheability comes from the memory map per AHB
@@ -79,20 +100,15 @@ class LeonPipeline {
   /// Hot-path form of step(): see IntegerUnit::step_into for the reuse
   /// contract (early-out paths leave `res.ins` untouched).
   void step_into(StepResult& res);
-  /// Hottest form: additionally skips filling `res.ins` when no observer
-  /// is attached (the observer contract still gets a full result).  Only
-  /// for run loops whose callers never read `res.ins`.
-  void step_into_hot(StepResult& res);
+  /// Step through one window (see RunWindow); returns the steps taken.
+  /// Bit-identical to calling step() in a loop with the same checks.
+  u64 run(const RunWindow& window);
   u64 run(u64 max_steps, Addr halt_pc = 0xffffffff);
+  /// PC of the last instruction the most recent run() stepped (meaningful
+  /// when that run took at least one step).
+  Addr last_run_pc() const { return last_run_pc_; }
 
   CpuState& state() { return st_; }
-
- private:
-  /// The per-step half of run(): used when an observer is attached or the
-  /// host fast paths are off (the reference configuration).
-  u64 run_slow(u64 max_steps, Addr halt_pc);
-
- public:
   const CpuState& state() const { return st_; }
 
   cache::Cache& icache() { return icache_; }
@@ -144,14 +160,13 @@ class LeonPipeline {
   MemResult ifetch(Addr pc, u32& word, const isa::Instruction*& predecoded);
 
   /// Header-inline zero-stall fetch: ordinary I-cache hit, served from the
-  /// predecoded mirror (or the resident bytes when the mirror is stale).
-  /// Returns false without touching anything observable when the fetch
-  /// needs the full ifetch() path — fast paths off, uncacheable address,
-  /// or a miss/poisoned line (lookup_hit touches nothing on those).
-  /// No cacheable_() call here: a hit means the line was filled, which
-  /// required a cacheable address, and cacheability is line-uniform (see
-  /// CacheableFn) — an uncacheable pc can never hit, so the probe itself
-  /// is the cacheability check.
+  /// predecoded mirror.  Returns false without touching anything
+  /// observable when the fetch needs the full ifetch() path — fast paths
+  /// off, uncacheable address, or a miss/poisoned line (lookup_hit touches
+  /// nothing on those).  No cacheable_() call here: a hit means the line
+  /// was filled, which required a cacheable address, and cacheability is
+  /// line-uniform (see CacheableFn) — an uncacheable pc can never hit, so
+  /// the probe itself is the cacheability check.
   ///
   /// The streak memo (last_iline_/last_islot_/last_igen_) skips even the
   /// tag probe while fetching within one line: it is valid exactly while
@@ -164,34 +179,23 @@ class LeonPipeline {
     const Addr line = pc & ~static_cast<Addr>(iline_mask_);
     if (line == last_iline_ && icache_.gen() == last_igen_) [[likely]] {
       icache_.touch_read_hit(last_islot_);
-      predecoded = last_imirror_ + ((pc & iline_mask_) >> 2);
-      word = predecoded->raw;
-      return true;
+    } else if (!enter_line(pc)) {
+      return false;
     }
-    const cache::HitRef h = icache_.lookup_hit(pc);
-    if (h.data == nullptr) return false;
-    if (imirror_addr_[h.slot] == line) [[likely]] {
-      last_iline_ = line;
-      last_islot_ = h.slot;
-      last_igen_ = icache_.gen();
-      last_imirror_ = &imirror_ins_[static_cast<std::size_t>(h.slot)
-                                    << iline_words_shift_];
-      predecoded = last_imirror_ + ((pc & iline_mask_) >> 2);
-      word = predecoded->raw;
-      return true;
-    }
-    // Mirror stale (line filled behind our back): big-endian word from the
-    // resident bytes; the access() stats/LRU effects already happened in
-    // lookup_hit, so we must not fall back to ifetch().
-    const u8* p = h.data + (pc & iline_mask_);
-    word = (u32{p[0]} << 24) | (u32{p[1]} << 16) | (u32{p[2]} << 8) | p[3];
+    predecoded = last_imirror_ + ((pc & iline_mask_) >> 2);
+    word = predecoded->raw;
     return true;
   }
+  /// The line-change half of a mirror fetch: probe the I-cache for `pc`
+  /// (lookup_hit's LRU/stats update on a hit, nothing otherwise),
+  /// re-digest the slot's mirror when it is stale, and point the streak
+  /// memo at it.  False on a miss or a poisoned line.
+  bool enter_line(Addr pc);
   MemResult data_read(Addr addr, unsigned size);
   MemResult data_write(Addr addr, unsigned size, u64 value);
   /// Timed burst write of a full line's bytes (dirty victim eviction).
   Cycles writeback_line(Addr addr, const u8* bytes);
-  /// Decode the freshly filled I-cache line into the mirror slot.
+  /// Decode an I-cache line's bytes into the mirror slot.
   void predecode_line(u32 slot, Addr line_addr, const u8* line);
 
   // --- architectural execution ----------------------------------------------
@@ -199,6 +203,21 @@ class LeonPipeline {
   /// with no consumer of the decoded form).
   template <bool kCopyIns>
   void step_impl(StepResult& res);
+  /// The post-fetch half of a step: annulment, or execute + trap entry +
+  /// retire, then the cycle charge.
+  template <bool kCopyIns>
+  void finish_step(const isa::Instruction& ins, Cycles fetch_stall,
+                   StepResult& res);
+  /// run() with the fast paths on and no observer: the line tier (see
+  /// docs/PERFORMANCE.md; needs computed goto).  run_steps() is the
+  /// per-step reference loop.
+  u64 run_lines(const RunWindow& w);
+  u64 run_steps(const RunWindow& w);
+  /// An external interrupt is deliverable before the next instruction.
+  bool irq_pending() const {
+    return st_.psr.et && irq_level_ != 0 &&
+           (irq_level_ == 15 || irq_level_ > st_.psr.pil);
+  }
   u8 execute(const isa::Instruction& ins, StepResult& res);
   void take_trap(u8 tt);
   u32 op2val(const isa::Instruction& ins) const;
@@ -223,15 +242,27 @@ class LeonPipeline {
   // --- host fast-path state (never affects simulated time/state) ------------
   isa::DecodeCache predecode_;  // word-keyed; see CpuConfig::host_decode_cache
   /// Per-I-cache-slot mirror of the resident line's decoded instructions,
-  /// (re)built whenever a line is filled.  `imirror_addr_[slot]` is the
-  /// line address the mirror content belongs to (kNoMirrorLine = none);
-  /// a fast-path fetch uses it only when the slot's resident line address
-  /// matches, so replacement/flush/reload invalidation is implicit: any
-  /// event that changes the bytes a fetch can hit goes through a fill,
-  /// and the fill refreshes the mirror.
+  /// (re)built whenever a line is filled, and on the first hit of a line
+  /// whose mirror is stale (restored from a snapshot).
+  /// `imirror_addr_[slot]` is the line address the mirror content belongs
+  /// to (kNoMirrorLine = none); a fast-path fetch uses it only when the
+  /// slot's resident line address matches, so replacement/flush/reload
+  /// invalidation is implicit: any event that changes the bytes a fetch
+  /// can hit goes through a fill, and the fill refreshes the mirror.
   static constexpr Addr kNoMirrorLine = ~Addr{0};
   std::vector<Addr> imirror_addr_;
   std::vector<isa::Instruction> imirror_ins_;  // num_lines * words_per_line
+  /// Line-tier token of each mirrored word (parallel to imirror_ins_): an
+  /// inline ALU op with its operands predigested, an inline Bicc, or
+  /// "execute" (everything else runs execute() on the mirrored decode).
+  struct LineOp {
+    u8 kind = 0;  // dispatch token, see leon_pipeline.cpp
+    u8 a = 0;     // ALU: rs1 | Bicc: cond
+    u8 b = 0;     // ALU register form: rs2 | Bicc: annul bit
+    u8 d = 0;     // ALU: rd
+    u32 imm = 0;  // simm13 | sethi imm22 << 10 | Bicc disp22 << 2
+  };
+  std::vector<LineOp> imirror_ops_;
   /// Fetch-streak memo: the line/slot of the last mirror-served hit and
   /// the I-cache generation it was observed at (see ifetch_hot).
   /// kNoMirrorLine can never be a real line base (pc is word-aligned and
@@ -243,6 +274,24 @@ class LeonPipeline {
   /// after construction, so the pointer stays valid for the object's
   /// lifetime; the gen check governs whether its *contents* are current).
   const isa::Instruction* last_imirror_ = nullptr;
+  const LineOp* last_iops_ = nullptr;  // same slot's line-tier tokens
+  /// Line-tier register maps (BlockEngine's scheme): rp_[r]/wp_[r] point
+  /// into the register file's backing store for window regmap_cwp_, %g0
+  /// redirected to a constant-zero source and a write sink.  Kept across
+  /// run() calls; sync_regmap() rebuilds them when CWP moved or the
+  /// storage was replaced (reset, load_state).
+  void sync_regmap() {
+    if (st_.psr.cwp != regmap_cwp_ || st_.regs.data() != regmap_base_) {
+      rebuild_regmap();
+    }
+  }
+  void rebuild_regmap();
+  u32* rp_[32] = {};
+  u32* wp_[32] = {};
+  unsigned regmap_cwp_ = 0;
+  const u32* regmap_base_ = nullptr;
+  u32 zero_src_ = 0;
+  u32 g0_sink_ = 0;
   u32 iline_mask_ = 0;    // icache line_bytes - 1
   u32 iline_words_ = 0;   // icache line_bytes / 4
   u32 iline_words_shift_ = 0;  // log2(iline_words_): mirror slot stride
@@ -256,6 +305,7 @@ class LeonPipeline {
   bool cti_taken_ = false;
   Addr cti_target_ = 0;
   Cycles wb_free_at_ = 0;  // when the write buffer can accept a new store
+  Addr last_run_pc_ = 0;   // see last_run_pc()
   ExecObserver* obs_ = nullptr;
 };
 

@@ -263,9 +263,9 @@ DiffOutcome DifferentialRunner::run_source(const std::string& source,
   if (mode == ProgramMode::kSystem && opt_.with_system && !a.error_mode) {
     if (!sys_) {
       sim::SystemConfig scfg;
+      // Slow-path rotation entries (host_fast_paths off) exercise the
+      // per-step system loop too.
       scfg.pipeline = opt_.pipeline;
-      // Slow-path rotation entries exercise the per-step system loop too.
-      scfg.fast_run_loop = opt_.pipeline.host_fast_paths;
       // The disconnect switch drops CPU writes once leon_ctrl flags the
       // run done, so a write-back data cache could lose dirty lines to a
       // post-completion eviction; the system leg always runs

@@ -116,6 +116,9 @@ class LeonController {
   void on_cpu_pc(Addr pc);
 
   LeonState state() const { return state_; }
+  /// on_cpu_pc acts only on PCs below this while Running (completion);
+  /// every PC at or above it just arms the completion watch.
+  Addr user_code_min() const { return cfg_.user_code_min; }
 
   /// Cycles from the last Start command to the program's return to the
   /// polling loop (valid once state reaches kDone; 0 before any run).

@@ -156,7 +156,8 @@ std::vector<Cell> segment_frame(std::span<const u8> frame) {
   do {
     Cell c;
     const std::size_t n = std::min(kCellPayload, frame.size() - off);
-    std::memcpy(c.payload, frame.data() + off, n);
+    // An empty frame's data() may be null, and memcpy's source must not be.
+    if (n != 0) std::memcpy(c.payload, frame.data() + off, n);
     c.frame_bytes_valid = static_cast<u16>(n);
     off += n;
     c.last = off >= frame.size();

@@ -2,17 +2,17 @@
 //
 // The paper's §4.1 error path tells the operator *that* a node died (the
 // 0xff/0x50 watchdog packet) but not *what it was doing*.  This recorder
-// keeps a fixed-size ring of compact events — retired PCs, traps, bus
-// errors, leon_ctrl state transitions, injected-fault firings — written
+// keeps a fixed-size ring of compact events — sampled PCs, leon_ctrl
+// state transitions, watchdog trips, injected-fault firings — written
 // with a handful of stores per event and no allocation, so it can stay on
 // while the node runs at full speed.  When something trips (watchdog, a
 // fault campaign classifying a detection, the fuzzer finding a
 // divergence), the ring is frozen into a JSON dump whose tail shows the
 // wedge PC and the error transition.
 //
-// Retired-PC events are sampled (every Nth retirement, default 64) so a
-// ring of a few thousand entries still covers hundreds of thousands of
-// cycles of history; traps, errors, and state changes always record.
+// Retired-PC events are sampled (every Nth step, default 64) so a ring
+// of a few thousand entries still covers hundreds of thousands of cycles
+// of history; errors and state changes always record.
 //
 // Threading: single-writer, same contract as the metrics registry — only
 // the thread stepping the node may record; dumps happen after the node is
@@ -28,7 +28,8 @@
 namespace la::sim {
 
 enum class FlightEventKind : u8 {
-  kRetire = 0,     // a = PC, b = instruction word (sampled)
+  kRetire = 0,     // a = PC, b = instruction word (sampled; the node
+                   // records 0)
   kTrap = 1,       // a = PC, b = trap type
   kBusError = 2,   // a = address, b = 0
   kCtrlState = 3,  // a = old state, b = new state
@@ -69,6 +70,22 @@ class FlightRecorder {
     if (--retire_countdown_ != 0) return;
     retire_countdown_ = pc_sample_;
     record(cycle, FlightEventKind::kRetire, pc, insn);
+  }
+
+  /// Retirements until the next one is sampled (0 = sampling disabled).
+  /// Run loops use it as a step budget so only a run's last step can be
+  /// the sampled one.
+  u32 retires_until_sample() const {
+    return pc_sample_ == 0 ? 0 : retire_countdown_;
+  }
+
+  /// Count a run of `n` retirements, the last at `cycle`/`pc`, with
+  /// n <= retires_until_sample(): the same ring as n record_retire calls
+  /// with a zero instruction word.
+  void record_retires(u64 n, u64 cycle, u64 pc) {
+    if (pc_sample_ == 0 || n == 0) return;
+    retire_countdown_ -= static_cast<u32>(n - 1);
+    record_retire(cycle, pc, 0);
   }
 
   std::size_t capacity() const { return ring_.size(); }

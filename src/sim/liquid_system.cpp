@@ -1,7 +1,6 @@
 #include "sim/liquid_system.hpp"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "sasm/assembler.hpp"
 
@@ -315,13 +314,8 @@ cpu::StepResult LiquidSystem::step() {
     // keeps running — the watchdog and timers must still see time pass.
     clock_ += 1;
   }
-  if (flight_) {
-    if (r.trapped) {
-      flight_->record(clock_, FlightEventKind::kTrap, r.pc, r.tt);
-    } else {
-      flight_->record_retire(clock_, r.pc, r.raw);
-    }
-  }
+  // The same sampled PC stream the window loop records (run_batched).
+  if (flight_) flight_->record_retire(clock_, r.pc, 0);
   ctrl_->on_cpu_pc(r.pc);
   timer_.advance(clock_ - before);
   sync_watchdog();  // completion disarms before the budget is charged
@@ -345,62 +339,59 @@ void LiquidSystem::drain_peripherals() {
 }
 
 bool LiquidSystem::run_batched(u64 max_steps, const net::LeonState* until) {
-  constexpr Cycles kNoEvent = ~Cycles{0};
-  cpu::StepResult r;
-  u64 i = 0;
-  // The flight recorder must not tax the disabled configuration: the
-  // inner loop is specialized at compile time on whether it records, so
-  // recorder-off code is identical to a build without the recorder.
   FlightRecorder* const fr = flight_.get();
+  u64 i = 0;
   while (i < max_steps) {
     if (until != nullptr && ctrl_->state() == *until) return true;
-    if (pipe_->state().error_mode && !wdog_.armed()) break;
+    const bool halted = pipe_->state().error_mode;
+    if (halted && !wdog_.armed()) break;
 
-    // Next cycle at which a peripheral does something observable; until
-    // then, per-step advance calls are provably no-ops and are skipped.
+    // One window per pass: the pipeline runs until the next cycle at which
+    // a peripheral does something observable (until then the per-step
+    // advance calls are provably no-ops), an APB access (the next event
+    // may be stale), the step budget, or a PC leon_ctrl acts on.
     periph_dirty_ = false;
-    Cycles next_event = kNoEvent;
+    cpu::RunWindow w;
+    w.max_steps = max_steps - i;
     Cycles delta = 0;
-    if (timer_.next_event(delta)) next_event = periph_synced_at_ + delta;
+    if (timer_.next_event(delta)) w.deadline = periph_synced_at_ + delta;
     if (wdog_.armed()) {
-      next_event = std::min(next_event, periph_synced_at_ + wdog_.remaining());
+      w.deadline = std::min(w.deadline, periph_synced_at_ + wdog_.remaining());
     }
-    const net::LeonState s0 = ctrl_->state();
-    // leon_ctrl only inspects the PC while a program is Running; in every
-    // other state on_cpu_pc is a no-op and the control state cannot move
-    // until a peripheral event or network ingress (never mid-run), so the
-    // whole call is hoisted out of the batch.
-    const bool track_pc = s0 == net::LeonState::kRunning;
+    w.stop_flag = &periph_dirty_;
+    // leon_ctrl only inspects PCs while a program is Running, and then acts
+    // only on those below user_code_min (completion); every PC at or above
+    // it just arms the completion watch.  So the window stops after a PC
+    // below the fence, and on_cpu_pc sees the window's first PC (which,
+    // in a window of more than one step, is a user PC) and its last.
+    const bool track_pc = ctrl_->state() == net::LeonState::kRunning;
+    if (track_pc) w.pc_fence = ctrl_->user_code_min();
+    // The recorder samples every Nth step: end the window on the next one.
+    const u32 due = fr != nullptr ? fr->retires_until_sample() : 0;
+    if (due != 0) w.max_steps = std::min<u64>(w.max_steps, due);
 
-    const auto inner = [&](auto with_flight) {
-      while (i < max_steps) {
-        if (pipe_->state().error_mode && !wdog_.armed()) break;
-        const Cycles before = clock_;
-        // The only per-step result this loop consumes is the stepped
-        // instruction's PC, which is the architectural PC *before* the
-        // step — so the result materialization itself can be skipped.
-        const Addr pc = pipe_->state().pc;
-        pipe_->step_into_hot(r);
-        ++i;
-        if (pipe_->state().error_mode && clock_ == before) clock_ += 1;
-        // step_into_hot may skip materializing the result, so only the PC
-        // is trustworthy here; traps come from the per-step path.
-        if constexpr (with_flight.value) fr->record_retire(clock_, pc, 0);
-        if (track_pc) {
-          ctrl_->on_cpu_pc(pc);
-          if (ctrl_->state() != s0) break;  // completion: drain + resync
-        }
-        if (clock_ >= next_event) break;  // timer/watchdog event due
-        if (periph_dirty_) break;  // APB access: next event may be stale
-      }
-    };
-    if (fr != nullptr) {
-      inner(std::bool_constant<true>{});
+    const Addr first_pc = pipe_->state().pc;
+    u64 n = 0;
+    Addr last_pc = first_pc;
+    if (!halted) {
+      n = pipe_->run(w);
+      last_pc = pipe_->last_run_pc();
     } else {
-      inner(std::bool_constant<false>{});
+      // A halted core (error mode, watchdog armed) retires nothing, but its
+      // clock tree keeps running — one cycle per step, at its frozen PC.
+      n = clock_ < w.deadline ? std::min<u64>(w.max_steps, w.deadline - clock_)
+                              : 1;
+      if (first_pc < w.pc_fence) n = 1;
+      clock_ += n;
+    }
+    i += n;
+    if (fr != nullptr) fr->record_retires(n, clock_, last_pc);
+    if (track_pc && n != 0) {
+      ctrl_->on_cpu_pc(first_pc);
+      if (last_pc != first_pc) ctrl_->on_cpu_pc(last_pc);
     }
 
-    // Batch boundary: everything the per-step path does after a step, in
+    // Window boundary: everything the per-step path does after a step, in
     // the same order, over the accumulated delta.
     drain_peripherals();
     while (auto resp = pktgen_->pop()) {

@@ -49,19 +49,13 @@ struct SystemConfig {
   /// instead of the paper's modified mailbox-polling ROM.  Remote program
   /// start does not work in this mode — that is the point of Fig 5.
   bool use_original_boot = false;
-  /// Host-performance knob (no effect on simulated cycles or state): run()
-  /// and run_until() batch steps between peripheral events instead of
-  /// advancing the timer/watchdog every step, falling back to the per-step
-  /// path whenever a step hook, perf tracer, or trace stream is armed.
-  /// An APB access from the program drains peripherals to the current
-  /// cycle first, so mid-batch register reads observe per-step state.
-  bool fast_run_loop = true;
   /// Arm the black-box flight recorder at construction (equivalent to
-  /// calling enable_flight_recorder()).  Cheap enough to leave on: the
-  /// fast run loop keeps batching, each event is a few stores.
+  /// calling enable_flight_recorder()).  Cheap enough to leave on: its
+  /// sample cadence is part of the run loop's step budget, and each event
+  /// is a few stores.
   bool flight_recorder = false;
   std::size_t flight_capacity = 4096;  // ring entries (rounds to 2^n)
-  u32 flight_pc_sample = 64;           // record every Nth retired PC
+  u32 flight_pc_sample = 64;           // record every Nth step's PC
 };
 
 class LiquidSystem {
@@ -152,11 +146,11 @@ class LiquidSystem {
   PerfTracer& enable_perf_trace();
   PerfTracer* perf_tracer() { return perf_.get(); }
 
-  /// Arm the black-box flight recorder: sampled retired PCs, traps,
-  /// leon_ctrl transitions, watchdog trips, injected-fault firings land in
-  /// a fixed ring.  Unlike the perf tracer it does NOT force the per-step
-  /// run path — recording is a pointer test plus a few stores, so it can
-  /// stay on in production.  Idempotent.
+  /// Arm the black-box flight recorder: every Nth step's PC, leon_ctrl
+  /// transitions, watchdog trips, injected-fault firings land in a fixed
+  /// ring.  Unlike the perf tracer it does NOT force the per-step run
+  /// path — the sample cadence bounds the run loop's windows, and each
+  /// event is a few stores, so it can stay on in production.  Idempotent.
   FlightRecorder& enable_flight_recorder();
   FlightRecorder* flight_recorder() { return flight_.get(); }
 
@@ -225,12 +219,15 @@ class LiquidSystem {
   /// this a no-op there).  Applies the same per-step ordering the slow
   /// path uses: timer, watchdog sync, watchdog charge.
   void drain_peripherals();
-  /// Batched core shared by run()/run_until(); `until` null = run to the
-  /// step budget.  Returns whether `until` was reached.
+  /// Event loop shared by run()/run_until() with the host fast paths on:
+  /// hands the pipeline whole windows between peripheral events.  `until`
+  /// null = run to the step budget.  Returns whether `until` was reached.
   bool run_batched(u64 max_steps, const net::LeonState* until);
+  /// The per-step path: fast paths off (the reference configuration), or
+  /// anything armed that must see every step.
   bool slow_run_path() const {
-    return !cfg_.fast_run_loop || step_hook_armed_ || perf_ != nullptr ||
-           tracer_ != nullptr;
+    return !cfg_.pipeline.host_fast_paths || step_hook_armed_ ||
+           perf_ != nullptr || tracer_ != nullptr;
   }
 
   SystemConfig cfg_;
@@ -279,7 +276,7 @@ class LiquidSystem {
   /// batch; lags it inside one until drain_peripherals catches up).
   Cycles periph_synced_at_ = 0;
   /// Set by the APB access hook: a peripheral register was touched, so the
-  /// current batch's precomputed next-event cycle may be stale.
+  /// current window's precomputed next-event cycle may be stale.
   bool periph_dirty_ = false;
 };
 

@@ -1,5 +1,5 @@
 // The replay harness itself is a measuring instrument, so these tests
-// calibrate it: a generated vector must pass all four legs, and every
+// calibrate it: a generated vector must pass every leg, and every
 // kind of injected corruption (registers, memory, trap outcome, nominal
 // cycles) must come back as a named first-divergence report.  If these
 // fail, a green corpus run proves nothing.

@@ -1,22 +1,31 @@
-// Full-node fast-path equivalence: the batched run loop and the CPU fast
-// paths must be unobservable through the control protocol — identical
-// cycle counts on the Fig 8 cache sweep, and a program LOADed over a
-// previously running one (restart → reload at the same addresses) must
-// execute the new bytes, not a stale predecoded mirror.
+// Full-node fast-path equivalence: the window-driven run loop, the line
+// tier, and the CPU fast paths must be unobservable through the control
+// protocol — identical cycle counts on the Fig 8 cache sweep, identical
+// snapshot bytes and flight-recorder rings after the progs/ kernels, and
+// a program LOADed over a previously running one (restart → reload at
+// the same addresses) must execute the new bytes, not a stale predecoded
+// mirror.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "ctrl/client.hpp"
 #include "sasm/assembler.hpp"
+#include "sasm/runtime.hpp"
 #include "sim/liquid_system.hpp"
+#include "sim/snapshot.hpp"
+
+#ifndef LA_PROGS_DIR
+#error "LA_PROGS_DIR must point at the progs/ directory"
+#endif
 
 namespace la::test {
 namespace {
 
 sim::SystemConfig config_for(bool fast) {
   sim::SystemConfig cfg;
-  cfg.fast_run_loop = fast;
   cfg.pipeline.host_fast_paths = fast;
   cfg.pipeline.cpu.host_decode_cache = fast;
   return cfg;
@@ -166,6 +175,69 @@ TEST(FastPathSystem, Fig8SweepCyclesIdentical) {
     EXPECT_EQ(fast.counted, slow.counted) << dcache_bytes;
     EXPECT_EQ(fast.cpu_cycles, slow.cpu_cycles) << dcache_bytes;
   }
+}
+
+// --- progs/ kernels: snapshot bytes and flight rings ----------------------
+
+std::string slurp(const std::string& name) {
+  std::ifstream in(std::string(LA_PROGS_DIR) + "/" + name);
+  EXPECT_TRUE(in.good()) << name;
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+struct KernelRun {
+  Bytes snapshot;
+  std::string flight;  // "" with the recorder off
+};
+
+/// Boot, LOAD + START + await one kernel over the control protocol, then
+/// capture the whole node and (when armed) its flight ring.
+KernelRun drive_kernel(const sasm::Image& img, bool fast, bool recorder) {
+  sim::SystemConfig cfg = config_for(fast);
+  cfg.flight_recorder = recorder;
+  sim::LiquidSystem node(cfg);
+  node.run(300);
+  ctrl::LiquidClient client(node);
+  EXPECT_TRUE(client.run_program(img, 50'000'000));
+  EXPECT_EQ(node.controller().state(), net::LeonState::kDone);
+  KernelRun out;
+  out.snapshot = node.snapshot().serialize();
+  out.flight = node.take_flight_dump("fastpath_check");
+  return out;
+}
+
+void check_kernel(const std::string& file, bool with_runtime) {
+  SCOPED_TRACE(file);
+  std::string src = slurp(file);
+  if (with_runtime) src += sasm::rt::runtime_source();
+  const auto img = sasm::assemble_or_throw(src);
+
+  const KernelRun fast = drive_kernel(img, true, false);
+  const KernelRun slow = drive_kernel(img, false, false);
+  const KernelRun fast_rec = drive_kernel(img, true, true);
+  const KernelRun slow_rec = drive_kernel(img, false, true);
+
+  // The recorder is host-side too: all four nodes snapshot identically.
+  EXPECT_TRUE(fast.snapshot == slow.snapshot);
+  EXPECT_TRUE(fast_rec.snapshot == fast.snapshot);
+  EXPECT_TRUE(slow_rec.snapshot == fast.snapshot);
+  ASSERT_FALSE(fast_rec.flight.empty());
+  EXPECT_EQ(fast_rec.flight, slow_rec.flight);
+  EXPECT_NE(fast_rec.flight.find("\"kind\":\"retire\""), std::string::npos);
+}
+
+TEST(FastPathSystem, Crc32SnapshotAndFlightRingIdentical) {
+  check_kernel("crc32.s", false);
+}
+
+TEST(FastPathSystem, QuicksortSnapshotAndFlightRingIdentical) {
+  check_kernel("quicksort.s", true);
+}
+
+TEST(FastPathSystem, StreamSnapshotAndFlightRingIdentical) {
+  check_kernel("stream.s", false);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Property: the host fast paths are unobservable.  The same random
 // program on the same rig must leave LeonPipeline with bit-identical
 // architectural state, statistics (cycles included), cache statistics,
-// and memory with `host_fast_paths`/`host_decode_cache` on vs off — and
-// leave IntegerUnit bit-identical across the slow / decode-cache /
-// block-engine three-way grid.
+// full save_state bytes (LRU ticks, line data, write-buffer and annul
+// latches), and memory with `host_fast_paths`/`host_decode_cache` on vs
+// off — and leave IntegerUnit bit-identical across the slow /
+// decode-cache / block-engine three-way grid.
 //
 // This is the direct fast-vs-slow sibling of cpu_equivalence_test (which
 // checks the pipeline against the independent functional model); programs
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "bus/ahb.hpp"
+#include "common/snapio.hpp"
 #include "cpu/flat_memory.hpp"
 #include "cpu/integer_unit.hpp"
 #include "cpu/leon_pipeline.hpp"
@@ -89,6 +91,16 @@ void check_seed(u64 seed, cpu::PipelineConfig base, int chunks) {
 
   const u64 nf = fast.pipe->run(budget, done);
   const u64 ns = slow.pipe->run(budget, done);
+
+  // Everything the pipeline snapshots — the caches' tags, LRU ticks, and
+  // line bytes included — before the flush below resets the caches.
+  SnapWriter wf;
+  SnapWriter ws;
+  fast.pipe->save_state(wf);
+  slow.pipe->save_state(ws);
+  EXPECT_TRUE(wf.data() == ws.data())
+      << "seed " << seed << ": save_state bytes differ";
+
   fast.pipe->flush_caches();
   slow.pipe->flush_caches();
 
@@ -242,6 +254,17 @@ TEST_P(FastPathEquivalence, CachesDisabled) {
   pcfg.dcache_enabled = false;
   pcfg.write_buffer_depth = 0;
   check_seed(GetParam() * 104729 + 2, pcfg, 200);
+}
+
+TEST_P(FastPathEquivalence, TwoWayLruCaches) {
+  // A geometry ablate_geometry runs (1 KB, 32 B lines, 2-way LRU): the
+  // LRU ticks pick the victims, so a tick stamped differently on either
+  // path changes which line a fill evicts — invisible on the
+  // direct-mapped default.
+  cpu::PipelineConfig pcfg;
+  pcfg.icache.ways = 2;
+  pcfg.dcache.ways = 2;
+  check_seed(GetParam() * 6151 + 4, pcfg, 300);
 }
 
 TEST_P(FastPathEquivalence, WriteBackCache) {

@@ -113,14 +113,12 @@ TEST(SystemSnapshot, WedgeFlagSurvivesRestore) {
 
 TEST(SystemSnapshot, CrossesHostFastPathConfigurations) {
   sim::SystemConfig fast;
-  fast.fast_run_loop = true;
   fast.pipeline.host_fast_paths = true;
   sim::LiquidSystem a(fast);
   mid_run_node(a);
   const sim::SystemSnapshot snap = a.snapshot();
 
   sim::SystemConfig slow;
-  slow.fast_run_loop = false;
   slow.pipeline.host_fast_paths = false;
   slow.pipeline.cpu.host_decode_cache = false;
   sim::LiquidSystem b(slow);

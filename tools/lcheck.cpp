@@ -20,10 +20,12 @@
 //                                  non-comment line is `name[{labels}]
 //                                  value` with a legal metric name
 //   lcheck --bench-sim FILE        BENCH_sim.json trajectory rows: known
-//                                  model names, boolean fast_paths/
-//                                  block_engine, positive host_mips, and
-//                                  complete fast on/off (+ block on/off)
-//                                  pairings
+//                                  model and workload names, boolean
+//                                  fast_paths/block_engine, positive
+//                                  median host_mips inside its sample
+//                                  min/max, >= 5 samples, build type and
+//                                  core count, and complete fast on/off
+//                                  (+ block on/off) pairings
 //
 // Exit codes: 0 all checks pass, 1 a check failed, 2 usage/IO error.
 #include <cctype>
@@ -582,7 +584,8 @@ int check_bench_sim(const std::string& file, const std::string& text) {
   static const std::set<std::string> kModels = {
       "integer_unit", "leon_pipeline", "liquid_system",
       "liquid_system_flight"};
-  // (model, fast_paths, block_engine) triples seen, for pairing checks.
+  static const std::set<std::string> kWorkloads = {"alu_loop", "crc32"};
+  // (model, workload, fast_paths, block_engine) keys seen, for pairing.
   std::set<std::string> seen;
   std::size_t index = 0;
   for (const auto& row : doc->array) {
@@ -597,6 +600,11 @@ int check_bench_sim(const std::string& file, const std::string& text) {
     if (kModels.count(model->string) == 0) {
       return complain(file, at + " unknown model '" + model->string + "'");
     }
+    const JsonValue* workload = row->get("workload");
+    if (workload == nullptr || !workload->is(JsonValue::kString) ||
+        kWorkloads.count(workload->string) == 0) {
+      return complain(file, at + " lacks a known string 'workload'");
+    }
     const JsonValue* fast = row->get("fast_paths");
     const JsonValue* block = row->get("block_engine");
     if (fast == nullptr || !fast->is(JsonValue::kBool) || block == nullptr ||
@@ -608,11 +616,28 @@ int check_bench_sim(const std::string& file, const std::string& text) {
       return complain(file, at + " block_engine=true on '" + model->string +
                                 "' (only the functional model has that tier)");
     }
-    for (const char* key : {"host_mips", "cycles_per_sec", "secs"}) {
+    for (const char* key : {"host_mips", "host_mips_min", "host_mips_max",
+                            "cycles_per_sec", "secs", "nproc"}) {
       const JsonValue* v = row->get(key);
       if (v == nullptr || !v->is(JsonValue::kNumber) || v->number <= 0) {
         return complain(file, at + " lacks positive number '" + key + "'");
       }
+    }
+    const double p50 = row->get("host_mips")->number;
+    if (row->get("host_mips_min")->number > p50 ||
+        row->get("host_mips_max")->number < p50) {
+      return complain(file, at + " host_mips outside [host_mips_min, "
+                                 "host_mips_max]");
+    }
+    const JsonValue* samples = row->get("samples");
+    if (samples == nullptr || !samples->is(JsonValue::kNumber) ||
+        samples->number < 5) {
+      return complain(file, at + " lacks number 'samples' >= 5");
+    }
+    const JsonValue* build = row->get("build_type");
+    if (build == nullptr || !build->is(JsonValue::kString) ||
+        build->string.empty()) {
+      return complain(file, at + " lacks non-empty string 'build_type'");
     }
     const JsonValue* instr = row->get("instructions");
     if (instr == nullptr || !instr->is(JsonValue::kNumber) ||
@@ -620,7 +645,7 @@ int check_bench_sim(const std::string& file, const std::string& text) {
       return complain(file,
                       at + " lacks non-negative number 'instructions'");
     }
-    const std::string key = model->string +
+    const std::string key = model->string + "/" + workload->string +
                             (fast->boolean ? "/fast" : "/slow") +
                             (block->boolean ? "/block" : "");
     if (!seen.insert(key).second) {
@@ -628,18 +653,20 @@ int check_bench_sim(const std::string& file, const std::string& text) {
     }
   }
 
-  // Pairing: every model measured with the host fast paths both on and
-  // off, and the functional model's block tier paired with its block-off
-  // fast row.  (The flight-recorder variant exists only as a fast-path
-  // overhead row.)
-  for (const char* m : {"integer_unit", "leon_pipeline", "liquid_system"}) {
+  // Pairing: every model measured on the ALU loop with the host fast
+  // paths both on and off, the node likewise on the crc32 kernel, and the
+  // functional model's block tier paired with its block-off fast row.
+  // (The flight-recorder variant exists only as a fast-path overhead row.)
+  for (const char* m :
+       {"integer_unit/alu_loop", "leon_pipeline/alu_loop",
+        "liquid_system/alu_loop", "liquid_system/crc32"}) {
     for (const char* leg : {"/slow", "/fast"}) {
       if (seen.count(std::string(m) + leg) == 0) {
         return complain(file, std::string("missing ") + m + leg + " row");
       }
     }
   }
-  if (seen.count("integer_unit/fast/block") == 0) {
+  if (seen.count("integer_unit/alu_loop/fast/block") == 0) {
     return complain(file, "missing integer_unit block_engine=true row");
   }
   std::printf("lcheck: %s: %zu measurement row(s), pairings complete\n",

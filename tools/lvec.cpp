@@ -12,8 +12,9 @@
 //       on any byte difference (drift gate)
 //   lvec replay (--dir DIR | --file F) [--leg L | --legs L1,L2,...]
 //               [--case NAME]
-//       run every vector on all five legs (or the named subset of
-//       iu-slow/iu-fast/iu-block/pipe-slow/pipe-fast), report divergences
+//       run every vector on all six legs (or the named subset of
+//       iu-slow/iu-fast/iu-block/pipe-slow/pipe-fast/pipe-run), report
+//       divergences
 //   lvec coverage --dir DIR
 //       fail unless every implemented mnemonic has a parseable file with
 //       at least one vector
@@ -48,7 +49,7 @@ int usage() {
       "       lvec replay (--dir DIR | --file F) [--leg L | --legs "
       "L1,L2,...] [--case NAME]\n"
       "                   legs: iu-slow iu-fast iu-block pipe-slow "
-      "pipe-fast\n"
+      "pipe-fast pipe-run\n"
       "       lvec coverage --dir DIR\n"
       "       lvec diff FILE_A FILE_B\n");
   return 2;
@@ -224,7 +225,7 @@ int cmd_verify(const Options& o) {
 
 // ---- replay -------------------------------------------------------------
 
-// Resolve --leg / --legs into the leg set to run (all five by default).
+// Resolve --leg / --legs into the leg set to run (all six by default).
 int select_legs(const Options& o, std::vector<Leg>& out) {
   if (!o.leg.empty() && !o.legs.empty()) {
     std::fprintf(stderr, "lvec: --leg and --legs are mutually exclusive\n");
