@@ -1,8 +1,8 @@
 // Host-throughput trajectory bench: how many simulated instructions per
 // wall-clock second each execution model sustains, with the host fast
-// paths on (default configuration) and off (the per-step baseline).  The
-// functional model gets a third row with the basic-block translation
-// engine on top of the fast paths (its default configuration).
+// paths (CpuConfig::host_fast_paths) on, the default configuration, and
+// off, the per-step reference.  With them on the functional model runs
+// its basic-block translation engine and the pipeline its line tier.
 //
 // Two workloads: `alu_loop`, a 5-instruction ALU/branch loop, on every
 // model; and `crc32`, progs/crc32.s (branchy, data-dependent, with a
@@ -11,13 +11,14 @@
 //
 // Emits BENCH_sim.json (override with --out), one row per measurement.
 // Each row splits its --secs budget into five equal samples and records
-// the median rate with the samples' min and max, plus the build type and
-// the host's core count:
+// the median rate with the samples' min and max, plus the build type, the
+// source commit the build was configured from (`git describe --always
+// --dirty`), and the host's core count:
 //
 //   {"model": "integer_unit", "workload": "alu_loop", "fast_paths": true,
-//    "block_engine": true, "host_mips": 310.7, "host_mips_min": 305.2,
-//    "host_mips_max": 314.9, "samples": 5, "cycles_per_sec": 3.9e8,
-//    "instructions": 310700000, "secs": 1.0, "build_type": "Release",
+//    "host_mips": 310.7, "host_mips_min": 305.2, "host_mips_max": 314.9,
+//    "samples": 5, "cycles_per_sec": 3.9e8, "instructions": 310700000,
+//    "secs": 1.0, "build_type": "Release", "commit": "cd93bc811c7f",
 //    "nproc": 4}
 //
 // `host_mips` is millions of simulated instructions retired per host
@@ -91,6 +92,9 @@ done: ba done
 #ifndef LA_BUILD_TYPE
 #define LA_BUILD_TYPE "unknown"
 #endif
+#ifndef LA_COMMIT
+#define LA_COMMIT "unknown"
+#endif
 
 /// progs/crc32.s, made endless: its final jump back to the boot ROM's
 /// polling loop becomes a branch to its own entry, so every timed step
@@ -116,7 +120,6 @@ struct Row {
   std::string model;
   std::string workload = "alu_loop";
   bool fast_paths = false;
-  bool block_engine = false;  // integer_unit only; others have no such tier
   double host_mips = 0;       // median sample
   double host_mips_min = 0;
   double host_mips_max = 0;
@@ -130,12 +133,11 @@ struct Row {
 /// back-to-back samples of `budget_secs / kSamples` wall time each, and
 /// summarize the per-sample rates.
 template <typename Body>
-Row measure(const std::string& model, bool fast, bool block,
-            double budget_secs, Body&& body) {
+Row measure(const std::string& model, bool fast, double budget_secs,
+            Body&& body) {
   Row row;
   row.model = model;
   row.fast_paths = fast;
-  row.block_engine = block;
   u64 instructions = 0;
   u64 cycles = 0;
   std::vector<double> mips;
@@ -163,17 +165,15 @@ Row measure(const std::string& model, bool fast, bool block,
   return row;
 }
 
-Row measure_integer_unit(bool fast, bool block, double secs) {
+Row measure_integer_unit(bool fast, double secs) {
   const auto img = sasm::assemble_or_throw(kLoop);
   cpu::CpuConfig cfg;
-  cfg.host_decode_cache = fast;
-  cfg.host_block_engine = block;
+  cfg.host_fast_paths = fast;
   cpu::FlatMemory mem(1 << 16);
   mem.load(img.base, img.data);
   cpu::IntegerUnit iu(cfg, mem);
   iu.reset(img.entry);
-  return measure("integer_unit", fast, block, secs,
-                 [&](u64& instr, u64& cyc) {
+  return measure("integer_unit", fast, secs, [&](u64& instr, u64& cyc) {
     instr += iu.run(kChunk);
     cyc = iu.cycle_count();
   });
@@ -182,9 +182,7 @@ Row measure_integer_unit(bool fast, bool block, double secs) {
 Row measure_leon_pipeline(bool fast, double secs) {
   const auto img = sasm::assemble_or_throw(kLoop);
   cpu::PipelineConfig cfg;
-  cfg.host_fast_paths = fast;
-  cfg.cpu.host_decode_cache = fast;
-  cfg.cpu.host_block_engine = false;  // pipeline datapath; no block tier
+  cfg.cpu.host_fast_paths = fast;
   mem::Sram sram(0, 1 << 16);
   sram.backdoor_write(img.base, img.data);
   bus::AhbBus bus;
@@ -192,8 +190,7 @@ Row measure_leon_pipeline(bool fast, double secs) {
   Cycles clock = 0;
   cpu::LeonPipeline pipe(cfg, bus, &clock, &everything_cacheable);
   pipe.reset(img.entry);
-  return measure("leon_pipeline", fast, false, secs,
-                 [&](u64& instr, u64& cyc) {
+  return measure("leon_pipeline", fast, secs, [&](u64& instr, u64& cyc) {
     pipe.run(kChunk);
     instr = pipe.stats().instructions;
     cyc = pipe.stats().cycles;
@@ -204,9 +201,7 @@ Row measure_liquid_system(bool fast, double secs,
                           bool flight_recorder = false,
                           const char* workload = "alu_loop") {
   sim::SystemConfig cfg;
-  cfg.pipeline.host_fast_paths = fast;
-  cfg.pipeline.cpu.host_decode_cache = fast;
-  cfg.pipeline.cpu.host_block_engine = false;  // pipeline datapath
+  cfg.pipeline.cpu.host_fast_paths = fast;
   cfg.flight_recorder = flight_recorder;
   sim::LiquidSystem sys(cfg);
   sys.run(200);  // boot into the ROM polling loop
@@ -226,7 +221,7 @@ Row measure_liquid_system(bool fast, double secs,
     row.fast_paths = fast;
     return row;
   }
-  row = measure(model, fast, false, secs, [&](u64& instr, u64& cyc) {
+  row = measure(model, fast, secs, [&](u64& instr, u64& cyc) {
     sys.run(kChunk);
     instr = sys.cpu().stats().instructions;
     cyc = sys.cpu().stats().cycles;
@@ -240,7 +235,7 @@ int usage() {
                "usage: sim_mips [--out FILE] [--secs N]\n"
                "  --out FILE   output JSON path (default BENCH_sim.json)\n"
                "  --secs N     wall-clock budget per measurement, seconds\n"
-               "               (default 1.0, split into %d samples; ten\n"
+               "               (default 1.0, split into %d samples; nine\n"
                "               measurements total)\n",
                kSamples);
   return 2;
@@ -265,14 +260,10 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   for (const bool fast : {false, true}) {
-    rows.push_back(measure_integer_unit(fast, /*block=*/false, secs));
+    rows.push_back(measure_integer_unit(fast, secs));
     rows.push_back(measure_leon_pipeline(fast, secs));
     rows.push_back(measure_liquid_system(fast, secs));
   }
-  // The functional model's block translation tier (its default config:
-  // fast paths + block engine), paired with the fast_paths-only row above
-  // so BENCH_sim.json always records block-on vs block-off.
-  rows.push_back(measure_integer_unit(true, /*block=*/true, secs));
   // Observability overhead row: the flight recorder armed (sampled retire
   // ring) on the fast path.  The recorder compiled in but *disabled* is
   // the plain liquid_system row above.
@@ -283,18 +274,16 @@ int main(int argc, char** argv) {
   }
 
   const unsigned nproc = std::thread::hardware_concurrency();
-  std::printf("%-20s %-9s %-5s %-5s %10s %10s %10s %12s\n", "model",
-              "workload", "fast", "block", "MIPS p50", "min", "max",
-              "cycles/sec");
+  std::printf("%-20s %-9s %-5s %10s %10s %10s %12s\n", "model",
+              "workload", "fast", "MIPS p50", "min", "max", "cycles/sec");
   for (const Row& r : rows) {
-    std::printf("%-20s %-9s %-5s %-5s %10.2f %10.2f %10.2f %12.3e\n",
+    std::printf("%-20s %-9s %-5s %10.2f %10.2f %10.2f %12.3e\n",
                 r.model.c_str(), r.workload.c_str(),
-                r.fast_paths ? "on" : "off", r.block_engine ? "on" : "off",
-                r.host_mips, r.host_mips_min, r.host_mips_max,
-                r.cycles_per_sec);
+                r.fast_paths ? "on" : "off", r.host_mips, r.host_mips_min,
+                r.host_mips_max, r.cycles_per_sec);
   }
-  std::printf("(%d samples per row, %s build, %u host cores)\n", kSamples,
-              LA_BUILD_TYPE, nproc);
+  std::printf("(%d samples per row, %s build of %s, %u host cores)\n",
+              kSamples, LA_BUILD_TYPE, LA_COMMIT, nproc);
 
   FILE* f = std::fopen(out_path.c_str(), "wb");
   if (f == nullptr) {
@@ -306,19 +295,19 @@ int main(int argc, char** argv) {
     const Row& r = rows[i];
     std::fprintf(f,
                  "  {\"model\": \"%s\", \"workload\": \"%s\", "
-                 "\"fast_paths\": %s, \"block_engine\": %s, "
+                 "\"fast_paths\": %s, "
                  "\"host_mips\": %.3f, \"host_mips_min\": %.3f, "
                  "\"host_mips_max\": %.3f, \"samples\": %d, "
                  "\"cycles_per_sec\": %.1f, \"instructions\": %llu, "
                  "\"secs\": %.3f, \"build_type\": \"%s\", "
-                 "\"nproc\": %u}%s\n",
+                 "\"commit\": \"%s\", \"nproc\": %u}%s\n",
                  r.model.c_str(), r.workload.c_str(),
-                 r.fast_paths ? "true" : "false",
-                 r.block_engine ? "true" : "false", r.host_mips,
+                 r.fast_paths ? "true" : "false", r.host_mips,
                  r.host_mips_min, r.host_mips_max, kSamples,
                  r.cycles_per_sec,
                  static_cast<unsigned long long>(r.instructions), r.secs,
-                 LA_BUILD_TYPE, nproc, i + 1 < rows.size() ? "," : "");
+                 LA_BUILD_TYPE, LA_COMMIT, nproc,
+                 i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
   std::fclose(f);

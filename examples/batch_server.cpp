@@ -1,12 +1,19 @@
 // Batch server: the Reconfiguration Server sequencing many users' jobs.
 //
-// Five users submit programs pinned to different architecture images.
+// Six users submit programs pinned to different architecture images.
 // Reprogramming the FPGA between jobs costs a bitstream download, so the
 // scheduler can group jobs by configuration instead of running strict
-// FIFO — the same batch, two schedules, and the wall-clock difference.
+// FIFO — the same batch, two schedules, and the difference in
+// reprogramming.  The server is a one-node farm::LiquidFarm held at its
+// start gate until the whole batch is queued, so the node runs the batch
+// in exactly the order the scheduler plans (docs/FARM.md).
+//
+// Exits 0 when every job in both schedules succeeded, 1 otherwise.
 #include <cstdio>
+#include <iterator>
+#include <string>
 
-#include "liquid/job_queue.hpp"
+#include "farm/farm.hpp"
 #include "sasm/assembler.hpp"
 
 namespace {
@@ -37,60 +44,66 @@ sasm::Image workload(u32 seedish) {
   )");
 }
 
-void show(const char* title, const liquid::BatchReport& rep) {
-  std::printf("%s\n", title);
-  std::printf("  %-8s %-30s %10s %6s\n", "owner", "image", "cycles", "swap");
-  for (const auto& item : rep.items) {
-    std::printf("  %-8s %-30s %10llu %6s\n", item.owner.c_str(),
-                item.config_key.c_str(),
-                static_cast<unsigned long long>(item.result.cycles),
-                item.result.reconfigured ? "yes" : "-");
+/// Run the batch on a fresh one-node farm under `policy`, print each job
+/// in execution order and the totals; returns how many jobs failed or
+/// never came back.
+u64 run_batch(const char* title, farm::FarmPolicy policy) {
+  farm::FarmConfig cfg;
+  cfg.nodes = 1;
+  cfg.autostart = false;
+  cfg.scheduler.policy = policy;
+  farm::LiquidFarm farm(cfg);
+  farm.pregenerate(liquid::ConfigSpace{});
+
+  const struct {
+    const char* owner;
+    u32 dcache;
+    u32 value;
+  } requests[] = {
+      {"alice", 1024, 0xa11ce}, {"bob", 4096, 0xb0b},
+      {"carol", 1024, 0xca401}, {"dave", 4096, 0xdafe},
+      {"erin", 16384, 0xe417},  {"frank", 1024, 0xf4a7c},
+  };
+  for (const auto& r : requests) {
+    farm::FarmJob j;
+    j.owner = r.owner;
+    j.config.dcache_bytes = r.dcache;
+    j.program = workload(r.value);
+    j.result_addr = j.program.symbol("result");
+    j.result_words = 1;
+    if (!farm.submit(std::move(j))) {
+      std::printf("%s: submission rejected\n", r.owner);
+    }
   }
+  farm.start();
+
+  std::printf("%s\n", title);
+  std::printf("  %-8s %-32s %10s %6s\n", "owner", "image", "cycles", "swap");
+  u64 succeeded = 0;
+  double reprogram_seconds = 0.0;
+  while (const auto out = farm.pop_result()) {
+    std::printf("  %-8s %-32s %10llu %6s\n", out->owner.c_str(),
+                out->config_key.c_str(),
+                static_cast<unsigned long long>(out->result.cycles),
+                out->result.reconfigured ? "yes" : "-");
+    if (out->result.ok) ++succeeded;
+    reprogram_seconds += out->result.reprogram_seconds;
+  }
+  const farm::FarmReport rep = farm.report();
+  const u64 failures = std::size(requests) - succeeded;
   std::printf("  => %llu reconfigurations, %.2f s reprogramming, "
-              "%llu failures\n\n",
+              "%llu of %llu jobs failed\n\n",
               static_cast<unsigned long long>(rep.reconfigurations),
-              rep.total_reprogram_seconds,
-              static_cast<unsigned long long>(rep.failures));
+              reprogram_seconds, static_cast<unsigned long long>(failures),
+              static_cast<unsigned long long>(std::size(requests)));
+  return failures;
 }
 
 }  // namespace
 
 int main() {
-  liquid::SynthesisModel syn;
-  liquid::ReconfigurationCache cache;
-  cache.pregenerate(liquid::ConfigSpace{}, syn);
-
-  sim::LiquidSystem node;
-  node.run(100);
-  liquid::ReconfigurationServer server(node, cache, syn);
-  liquid::JobQueue queue(server);
-
-  const auto submit_batch = [&] {
-    const struct {
-      const char* owner;
-      u32 dcache;
-      u32 value;
-    } requests[] = {
-        {"alice", 1024, 0xa11ce}, {"bob", 4096, 0xb0b},
-        {"carol", 1024, 0xca401}, {"dave", 4096, 0xdafe},
-        {"erin", 16384, 0xe417},  {"frank", 1024, 0xf4a7c},
-    };
-    for (const auto& r : requests) {
-      liquid::Job j;
-      j.owner = r.owner;
-      j.config.dcache_bytes = r.dcache;
-      j.program = workload(r.value);
-      j.result_addr = j.program.symbol("result");
-      j.result_words = 1;
-      queue.submit(std::move(j));
-    }
-  };
-
-  submit_batch();
-  show("FIFO schedule:", queue.run_all(liquid::SchedulePolicy::kFifo));
-
-  submit_batch();
-  show("grouped-by-image schedule:",
-       queue.run_all(liquid::SchedulePolicy::kGroupByConfig));
-  return 0;
+  u64 failures = run_batch("FIFO schedule:", farm::FarmPolicy::kFifo);
+  failures += run_batch("grouped-by-image (affinity) schedule:",
+                        farm::FarmPolicy::kAffinity);
+  return failures == 0 ? 0 : 1;
 }

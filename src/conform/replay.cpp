@@ -80,8 +80,7 @@ RunOutcome run_iu_block(const TestVector& v) {
   for (const auto& [a, w] : v.pre.mem) flat.write(a, 4, w);
   for (const auto& [a, w] : v.code) flat.write(a, 4, w);
 
-  cpu::IntegerUnit iu(v.cfg.cpu_config(true, /*host_block_engine=*/true),
-                      flat);
+  cpu::IntegerUnit iu(v.cfg.cpu_config(true), flat);
   iu.reset(v.pre.pc);
   apply_state(v.pre, iu.state());
 
@@ -112,7 +111,6 @@ RunOutcome run_pipe(const TestVector& v, bool fast, bool run = false) {
 
   cpu::PipelineConfig pcfg;
   pcfg.cpu = v.cfg.cpu_config(fast);
-  pcfg.host_fast_paths = fast;
   cpu::LeonPipeline pipe(pcfg, bus, &clock, &all_cacheable);
   pipe.reset(v.pre.pc);
   apply_state(v.pre, pipe.state());

@@ -1,15 +1,16 @@
 // Six-leg conformance replay.
 //
-// Every vector is run against both CPU models with the host fast paths on
-// and off, plus each model's run() loop tier:
+// Every vector is run against both CPU models with the host fast-path
+// switch (CpuConfig::host_fast_paths) off and on, stepping, plus each
+// model's run() loop tier:
 //
-//   iu-slow    cpu::IntegerUnit, host_decode_cache off  (the reference)
-//   iu-fast    cpu::IntegerUnit, host_decode_cache on
-//   iu-block   cpu::IntegerUnit via run() with host_block_engine on
-//   pipe-slow  cpu::LeonPipeline, host_fast_paths off
-//   pipe-fast  cpu::LeonPipeline, host_fast_paths on
-//   pipe-run   cpu::LeonPipeline via run() with host_fast_paths on, the
-//              code lines resident in the I-cache (the line tier)
+//   iu-slow    cpu::IntegerUnit, fast paths off  (the reference)
+//   iu-fast    cpu::IntegerUnit, fast paths on, via step()
+//   iu-block   cpu::IntegerUnit, fast paths on, via run() (block engine)
+//   pipe-slow  cpu::LeonPipeline, fast paths off
+//   pipe-fast  cpu::LeonPipeline, fast paths on, via step()
+//   pipe-run   cpu::LeonPipeline, fast paths on, via run() with the code
+//              lines resident in the I-cache (the line tier)
 //
 // A leg passes when the full architectural post-state (pc/npc, PSR, Y,
 // WIM, TBR, error mode, every register and ASR, the touched memory words)

@@ -1,16 +1,16 @@
 // Inline ALU semantics shared by the threaded execution tiers.
 //
 // Two dispatchers run the pure register-to-register operations (the ALU
-// range of isa::HandlerKind) inline instead of through an execute()
-// switch: BlockEngine's translated traces over the functional model, and
-// LeonPipeline's line tier over its predecoded I-cache mirror.  This
-// header is their one copy of those operations: an X-macro both
-// dispatchers instantiate, plus the condition-code helpers it and
-// IntegerUnit::execute() share.
+// range of isa::HandlerKind) inline instead of through the shared core's
+// execute() switch: BlockEngine's translated traces over the functional
+// model, and LeonPipeline's line tier over its predecoded I-cache mirror.
+// This header is their one copy of those operations: an X-macro both
+// dispatchers instantiate, plus the condition-code helpers it and the
+// semantics core (cpu/sparc_core.hpp) share.
 //
 // LA_ALU_OPS(M) expands M(label stem, HandlerKind, body) once per inline
 // handler.  Each body mirrors the corresponding case of
-// IntegerUnit::execute(): A and B are the operands (rs1 and rs2-or-simm13;
+// SparcCore::execute(): A and B are the operands (rs1 and rs2-or-simm13;
 // sethi's B is its pre-shifted imm22), and the body relies on three hooks
 // the expansion site defines:
 //   LA_ALU_RD(v)          write v to rd

@@ -4,7 +4,6 @@
 
 #include "cpu/alu_ops.hpp"
 #include "cpu/integer_unit.hpp"
-#include "isa/decode.hpp"
 #include "isa/traps.hpp"
 
 namespace la::cpu {
@@ -68,9 +67,8 @@ BlockEngine::Block* BlockEngine::translate(IntegerUnit& iu, Addr pc,
     }
   };
   for (;;) {
-    const isa::Instruction ins = iu.cfg_.host_decode_cache
-                                     ? iu.predecode_.lookup(word)
-                                     : isa::decode(word);
+    // The engine runs only with the fast paths on, decode cache included.
+    const isa::Instruction ins = iu.predecode_.lookup(word);
     const isa::HandlerInfo hi = isa::handler_info(ins.mn);
     BlockOp op;
     cur += 4;
@@ -84,9 +82,7 @@ BlockEngine::Block* BlockEngine::translate(IntegerUnit& iu, Addr pc,
       // slot) back to the per-step interpreter.
       u32 slot_word = 0;
       if (cur != halt_pc && iu.mem_.fetch(cur, slot_word)) {
-        const isa::Instruction slot = iu.cfg_.host_decode_cache
-                                          ? iu.predecode_.lookup(slot_word)
-                                          : isa::decode(slot_word);
+        const isa::Instruction slot = iu.predecode_.lookup(slot_word);
         const isa::HandlerInfo shi = isa::handler_info(slot.mn);
         if (!shi.ends_block) {
           // The slot instruction runs through its own (often inline-ALU)

@@ -12,8 +12,8 @@
 // leg): executing through the engine is bit-identical to the per-step
 // interpreter across registers, memory, traps, and cycle counts.  The
 // engine only ever re-implements the per-step loop's *sequencing*; every
-// instruction either runs through a one-line inline handler mirroring
-// IntegerUnit::execute() or through execute() itself.  Before each entry
+// instruction either runs through a one-line inline handler mirroring the
+// shared core's execute() (cpu/sparc_core.hpp) or through execute() itself.  Before each entry
 // the dispatcher re-checks exactly what the per-step loop would check
 // (budget, halt PC, pending interrupt) and bails to the interpreter for
 // every irregular situation: delay-slot entry, annulment, pending traps,

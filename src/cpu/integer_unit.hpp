@@ -5,9 +5,12 @@
 // model (including error mode), multiply/divide with the Y register,
 // tagged arithmetic, and the atomic memory operations.
 //
-// Timing is nominal (config latencies, no memory stalls); the LeonPipeline
-// model layers real cache/bus/memory timing on an independently written
-// datapath and is property-tested against this class.
+// The semantics are the shared core's (cpu/sparc_core.hpp); this class
+// instantiates it with nominal timing (config latencies, no memory stalls)
+// over a MemoryPort.  LeonPipeline runs the same core behind the timed
+// cache/bus/memory stack, and is property-tested against this class for
+// what the two models do differently: memory timing, the line tier, and
+// step/trap sequencing.
 #pragma once
 
 #include <memory>
@@ -48,6 +51,10 @@ class ExecObserver {
 };
 
 class BlockEngine;
+struct MemResult;
+enum class Mix : u8;
+template <class Model>
+struct SparcCore;
 
 class IntegerUnit {
  public:
@@ -99,27 +106,26 @@ class IntegerUnit {
 
  private:
   friend class BlockEngine;  // drives execute()/take_trap() on our state
-  // Trap entry per V8 §7: decrement CWP (unchecked), save pc/npc into the
-  // new window's l1/l2, vector through TBR.  Trap with ET=0 => error mode.
-  void take_trap(u8 tt);
+  friend struct SparcCore<IntegerUnit>;
 
-  // Execute the decoded instruction; returns a pending trap or kNone.
-  // On success fills the next-pc pair.
+  // The shared SPARC V8 semantics (cpu/sparc_core.hpp) on this model.
+  void take_trap(u8 tt);
   u8 execute(const isa::Instruction& ins, StepResult& res);
 
-  // Operand fetch helpers.
-  u32 op2_of(const isa::Instruction& ins) const {
-    return ins.imm ? static_cast<u32>(ins.simm13) : st_.reg(ins.rs2);
+  // SparcCore hooks: nominal timing (no stalls), the MemoryPort, and the
+  // trap bookkeeping; FLUSH, ASI 2 and the instruction mix are no-ops.
+  const CpuConfig& cpu_cfg() const { return cfg_; }
+  MemResult data_read(Addr addr, unsigned size);
+  MemResult data_write(Addr addr, unsigned size, u64 value);
+  static void flush_line(Addr, StepResult&) {}
+  static bool asi_access(const isa::Instruction&, Addr, StepResult&) {
+    return false;
   }
-
-  /// Valid-bit mask for WIM given the configured window count.
-  u32 window_mask() const {
-    return cfg_.nwindows == 32 ? ~0u : ((1u << cfg_.nwindows) - 1u);
+  void on_trap(u8 tt) {
+    ++trap_count_;
+    last_tt_ = tt;
   }
-
-  void set_icc_logic(u32 res);
-  void set_icc_add(u32 a, u32 b, u32 res, bool carry_in);
-  void set_icc_sub(u32 a, u32 b, u32 res, bool carry_in);
+  static void on_retire(Mix) {}
 
   /// Deliverable external interrupt (the exact between-instructions test
   /// step_into performs; the block dispatcher re-checks it before every

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <limits>
 #include <vector>
 
-#include "common/bits.hpp"
 #include "cpu/alu_ops.hpp"
+#include "cpu/sparc_core.hpp"
 #include "isa/decode.hpp"
 #include "isa/handler_table.hpp"
 #include "isa/traps.hpp"
@@ -19,10 +18,9 @@ using isa::Instruction;
 using isa::Mnemonic;
 using isa::Trap;
 
-namespace {
-constexpr u8 kNoTrap = static_cast<u8>(Trap::kNone);
-constexpr u8 tt_of(Trap t) { return static_cast<u8>(t); }
+using Core = SparcCore<LeonPipeline>;
 
+namespace {
 /// Big-endian scalar access into a cache line's byte storage.
 u64 line_read(const u8* line, u32 off, unsigned size) {
   u64 v = 0;
@@ -66,8 +64,8 @@ LeonPipeline::LeonPipeline(const PipelineConfig& cfg, bus::AhbBus& bus,
       iline_words_shift_(
           static_cast<u32>(std::countr_zero(cfg.icache.words_per_line()))),
       dline_mask_(cfg.dcache.line_bytes - 1),
-      fast_(cfg.host_fast_paths),
-      hot_ifetch_(cfg.host_fast_paths && cfg.icache_enabled) {
+      fast_(cfg.cpu.host_fast_paths),
+      hot_ifetch_(cfg.cpu.host_fast_paths && cfg.icache_enabled) {
   assert(cfg.cpu.valid() && cfg.icache.valid() && cfg.dcache.valid());
   assert(clock != nullptr && cacheable != nullptr);
   // Doubleword accesses must never straddle a line.
@@ -189,7 +187,7 @@ bool LeonPipeline::enter_line(Addr pc) {
   return true;
 }
 
-LeonPipeline::MemResult LeonPipeline::ifetch(
+MemResult LeonPipeline::ifetch(
     Addr pc, u32& word, const isa::Instruction*& /*predecoded*/) {
   // The predecoded pointer is never set here: a fill refreshes the mirror
   // and the *next* fetch of this pc hits ifetch_hot's mirror path, which
@@ -229,7 +227,7 @@ LeonPipeline::MemResult LeonPipeline::ifetch(
   return r;
 }
 
-LeonPipeline::MemResult LeonPipeline::data_read(Addr addr, unsigned size) {
+MemResult LeonPipeline::data_read(Addr addr, unsigned size) {
   MemResult r;
   const bool cached = cfg_.dcache_enabled && cacheable_(addr);
   if (!cached) {
@@ -292,7 +290,7 @@ LeonPipeline::MemResult LeonPipeline::data_read(Addr addr, unsigned size) {
   return r;
 }
 
-LeonPipeline::MemResult LeonPipeline::data_write(Addr addr, unsigned size,
+MemResult LeonPipeline::data_write(Addr addr, unsigned size,
                                                  u64 value) {
   MemResult r;
   const bool cached = cfg_.dcache_enabled && cacheable_(addr);
@@ -379,49 +377,20 @@ LeonPipeline::MemResult LeonPipeline::data_write(Addr addr, unsigned size,
 }
 
 // ---------------------------------------------------------------------------
-// Trap machinery (independent implementation; see integer_unit.cpp for the
-// reference model)
+// The other SparcCore hooks
 // ---------------------------------------------------------------------------
 
-void LeonPipeline::take_trap(u8 tt) {
-  ++stats_.traps;
-  if (!st_.psr.et && tt != tt_of(Trap::kReset)) {
-    st_.set_tbr_tt(tt);
-    st_.error_mode = true;
-    return;
+void LeonPipeline::flush_line(Addr addr, StepResult& res) {
+  icache_.invalidate_line(addr);
+  cache::DirtyLine d;
+  if (dcache_.invalidate_line(addr, &d) && !d.data.empty()) {
+    res.cycles += writeback_line(d.addr, d.data.data());
   }
-  st_.psr.et = false;
-  st_.psr.ps = st_.psr.s;
-  st_.psr.s = true;
-  st_.psr.cwp =
-      static_cast<u8>((st_.psr.cwp + st_.nwindows - 1) % st_.nwindows);
-  st_.set_reg(17, st_.pc);
-  st_.set_reg(18, st_.npc);
-  st_.set_tbr_tt(tt);
-  st_.pc = (st_.tbr & 0xfffff000u) + (u32{tt} << 4);
-  st_.npc = st_.pc + 4;
-  annul_next_ = false;
 }
 
-void LeonPipeline::icc_from(u32 res, bool v, bool c) {
-  st_.psr.n = (res >> 31) != 0;
-  st_.psr.z = res == 0;
-  st_.psr.v = v;
-  st_.psr.c = c;
-}
-
-u32 LeonPipeline::op2val(const Instruction& ins) const {
-  return ins.imm ? static_cast<u32>(ins.simm13) : st_.reg(ins.rs2);
-}
-
-bool LeonPipeline::asi_access(const Instruction& ins, StepResult& res,
-                              u8& tt) {
-  // LEON ASI 2: system control registers — address 0 is the cache control
-  // register.  Flush bits FI (21) and FD (22) invalidate the caches.
-  if (ins.asi != 2) return false;
-  const Addr ea = st_.reg(ins.rs1) + st_.reg(ins.rs2);
-  if (ea != 0) return false;
-  tt = kNoTrap;
+bool LeonPipeline::asi_access(const Instruction& ins, Addr ea,
+                              StepResult& res) {
+  if (ins.asi != 2 || ea != 0) return false;
   if (ins.mn == Mnemonic::kLda) {
     st_.set_reg(ins.rd, cache_control());
     res.cycles += cfg_.cpu.load_extra;
@@ -429,8 +398,8 @@ bool LeonPipeline::asi_access(const Instruction& ins, StepResult& res,
   }
   if (ins.mn == Mnemonic::kSta) {
     const u32 v = st_.reg(ins.rd);
-    if (v & (1u << 21)) icache_.flush();
-    if (v & (1u << 22)) {
+    if (v & (1u << 21)) icache_.flush();  // FI
+    if (v & (1u << 22)) {                 // FD
       std::vector<cache::DirtyLine> dirty;
       dcache_.flush(&dirty);
       for (const cache::DirtyLine& d : dirty) {
@@ -443,446 +412,20 @@ bool LeonPipeline::asi_access(const Instruction& ins, StepResult& res,
   return false;
 }
 
-// ---------------------------------------------------------------------------
-// Execution
-// ---------------------------------------------------------------------------
-
-u8 LeonPipeline::execute(const Instruction& ins, StepResult& res) {
-  auto& st = st_;
-  const Addr pc = st.pc;
-  const u32 ra = st.reg(ins.rs1);
-  const u32 rb = op2val(ins);
-
-  const auto branch_target = [&] {
-    return pc + (static_cast<u32>(ins.disp) << 2);
-  };
-
-  switch (ins.mn) {
-    case Mnemonic::kInvalid:
-    case Mnemonic::kUnimp:
-      return tt_of(Trap::kIllegalInstruction);
-
-    case Mnemonic::kCall:
-      st.set_reg(15, pc);
-      cti_taken_ = true;
-      cti_target_ = branch_target();
-      res.cycles += cfg_.cpu.cti_extra;
-      ++stats_.calls;
-      return kNoTrap;
-
-    case Mnemonic::kBicc: {
-      // Instruction-mix accounting happens inline on the no-trap paths
-      // (here and in every case below): it is exactly the retired-only
-      // bookkeeping step_impl used to do in a second mnemonic switch,
-      // folded in so the hot path dispatches once.
-      ++stats_.branches;
-      const bool taken =
-          isa::eval_cond(ins.cond, st.psr.n, st.psr.z, st.psr.v, st.psr.c);
-      if (ins.cond == Cond::kA) {
-        cti_taken_ = true;
-        cti_target_ = branch_target();
-        annul_next_ = ins.annul;
-        res.cycles += cfg_.cpu.cti_extra;
-        ++stats_.taken_branches;
-      } else if (taken) {
-        cti_taken_ = true;
-        cti_target_ = branch_target();
-        res.cycles += cfg_.cpu.cti_extra;
-        ++stats_.taken_branches;
-      } else if (ins.annul) {
-        annul_next_ = true;
-      }
-      return kNoTrap;
-    }
-
-    case Mnemonic::kFbfcc:
-      return tt_of(Trap::kFpDisabled);
-    case Mnemonic::kCbccc:
-      return tt_of(Trap::kCpDisabled);
-
-    case Mnemonic::kJmpl: {
-      const Addr target = ra + rb;
-      if ((target & 3u) != 0) return tt_of(Trap::kMemAddressNotAligned);
-      st.set_reg(ins.rd, pc);
-      cti_taken_ = true;
-      cti_target_ = target;
-      res.cycles += cfg_.cpu.cti_extra;
-      ++stats_.calls;
-      return kNoTrap;
-    }
-
-    case Mnemonic::kRett: {
-      if (st.psr.et) {
-        return st.psr.s ? tt_of(Trap::kIllegalInstruction)
-                        : tt_of(Trap::kPrivilegedInstruction);
-      }
-      if (!st.psr.s) return tt_of(Trap::kPrivilegedInstruction);
-      const unsigned ncwp = (st.psr.cwp + 1) % st.nwindows;
-      if ((st.wim >> ncwp) & 1u) return tt_of(Trap::kWindowUnderflow);
-      const Addr target = ra + rb;
-      if ((target & 3u) != 0) return tt_of(Trap::kMemAddressNotAligned);
-      st.psr.cwp = static_cast<u8>(ncwp);
-      st.psr.s = st.psr.ps;
-      st.psr.et = true;
-      cti_taken_ = true;
-      cti_target_ = target;
-      res.cycles += cfg_.cpu.cti_extra;
-      return kNoTrap;
-    }
-
-    case Mnemonic::kTicc: {
-      if (!isa::eval_cond(ins.cond, st.psr.n, st.psr.z, st.psr.v, st.psr.c)) {
-        return kNoTrap;
-      }
-      return static_cast<u8>(0x80u + ((ra + rb) & 0x7fu));
-    }
-
-    case Mnemonic::kFlush: {
-      // LEON flush: invalidate the I- and D-cache lines holding the
-      // effective address (this is what makes the boot ROM's mailbox poll
-      // see writes performed behind the processor's back, Fig 5).
-      const Addr ea = ra + rb;
-      icache_.invalidate_line(ea);
-      cache::DirtyLine d;
-      if (dcache_.invalidate_line(ea, &d) && !d.data.empty()) {
-        res.cycles += writeback_line(d.addr, d.data.data());
-      }
-      return kNoTrap;
-    }
-
-    case Mnemonic::kSethi:
-      st.set_reg(ins.rd, ins.imm22 << 10);
-      return kNoTrap;
-
-    // Logical ---------------------------------------------------------------
-    case Mnemonic::kAnd: st.set_reg(ins.rd, ra & rb); return kNoTrap;
-    case Mnemonic::kOr: st.set_reg(ins.rd, ra | rb); return kNoTrap;
-    case Mnemonic::kXor: st.set_reg(ins.rd, ra ^ rb); return kNoTrap;
-    case Mnemonic::kAndn: st.set_reg(ins.rd, ra & ~rb); return kNoTrap;
-    case Mnemonic::kOrn: st.set_reg(ins.rd, ra | ~rb); return kNoTrap;
-    case Mnemonic::kXnor: st.set_reg(ins.rd, ~(ra ^ rb)); return kNoTrap;
-    case Mnemonic::kAndcc: case Mnemonic::kOrcc: case Mnemonic::kXorcc:
-    case Mnemonic::kAndncc: case Mnemonic::kOrncc: case Mnemonic::kXnorcc: {
-      u32 v = 0;
-      switch (ins.mn) {
-        case Mnemonic::kAndcc: v = ra & rb; break;
-        case Mnemonic::kOrcc: v = ra | rb; break;
-        case Mnemonic::kXorcc: v = ra ^ rb; break;
-        case Mnemonic::kAndncc: v = ra & ~rb; break;
-        case Mnemonic::kOrncc: v = ra | ~rb; break;
-        default: v = ~(ra ^ rb); break;
-      }
-      icc_from(v, false, false);
-      st.set_reg(ins.rd, v);
-      return kNoTrap;
-    }
-
-    // Shifts ------------------------------------------------------------------
-    case Mnemonic::kSll: st.set_reg(ins.rd, ra << (rb & 31u)); return kNoTrap;
-    case Mnemonic::kSrl: st.set_reg(ins.rd, ra >> (rb & 31u)); return kNoTrap;
-    case Mnemonic::kSra:
-      st.set_reg(ins.rd, static_cast<u32>(static_cast<i32>(ra) >> (rb & 31u)));
-      return kNoTrap;
-
-    // Add / subtract ------------------------------------------------------------
-    case Mnemonic::kAdd: st.set_reg(ins.rd, ra + rb); return kNoTrap;
-    case Mnemonic::kSub: st.set_reg(ins.rd, ra - rb); return kNoTrap;
-    case Mnemonic::kAddx:
-      st.set_reg(ins.rd, ra + rb + (st.psr.c ? 1u : 0u));
-      return kNoTrap;
-    case Mnemonic::kSubx:
-      st.set_reg(ins.rd,
-                 ra - rb -
-                     (!cfg_.cpu.quirk_subx_no_carry && st.psr.c ? 1u : 0u));
-      return kNoTrap;
-    case Mnemonic::kAddcc:
-    case Mnemonic::kAddxcc: {
-      const u32 cin =
-          (ins.mn == Mnemonic::kAddxcc && st.psr.c) ? 1u : 0u;
-      const u64 wide = u64{ra} + rb + cin;
-      const u32 v = static_cast<u32>(wide);
-      const bool ovf = ((~(ra ^ rb) & (ra ^ v)) >> 31) != 0;
-      icc_from(v, ovf, (wide >> 32) != 0);
-      st.set_reg(ins.rd, v);
-      return kNoTrap;
-    }
-    case Mnemonic::kSubcc:
-    case Mnemonic::kSubxcc: {
-      const u32 cin =
-          (ins.mn == Mnemonic::kSubxcc && st.psr.c) ? 1u : 0u;
-      const u32 v = ra - rb - cin;
-      const bool ovf = (((ra ^ rb) & (ra ^ v)) >> 31) != 0;
-      const bool borrow = u64{ra} < u64{rb} + cin;
-      icc_from(v, ovf, borrow);
-      st.set_reg(ins.rd, v);
-      return kNoTrap;
-    }
-
-    // Tagged ---------------------------------------------------------------------
-    case Mnemonic::kTaddcc:
-    case Mnemonic::kTaddcctv: {
-      const u64 wide = u64{ra} + rb;
-      const u32 v = static_cast<u32>(wide);
-      const bool ovf = ((~(ra ^ rb) & (ra ^ v)) >> 31) != 0 ||
-                       ((ra | rb) & 3u) != 0;
-      if (ovf && ins.mn == Mnemonic::kTaddcctv) {
-        return tt_of(Trap::kTagOverflow);
-      }
-      icc_from(v, ovf, (wide >> 32) != 0);
-      st.set_reg(ins.rd, v);
-      return kNoTrap;
-    }
-    case Mnemonic::kTsubcc:
-    case Mnemonic::kTsubcctv: {
-      const u32 v = ra - rb;
-      const bool ovf = (((ra ^ rb) & (ra ^ v)) >> 31) != 0 ||
-                       ((ra | rb) & 3u) != 0;
-      if (ovf && ins.mn == Mnemonic::kTsubcctv) {
-        return tt_of(Trap::kTagOverflow);
-      }
-      icc_from(v, ovf, u64{ra} < u64{rb});
-      st.set_reg(ins.rd, v);
-      return kNoTrap;
-    }
-
-    // Multiply / divide -------------------------------------------------------------
-    case Mnemonic::kMulscc: {
-      const u32 v1 = ((st.psr.n != st.psr.v) ? 0x80000000u : 0u) | (ra >> 1);
-      const u32 v2 = (st.y & 1u) ? rb : 0u;
-      const u64 wide = u64{v1} + v2;
-      const u32 v = static_cast<u32>(wide);
-      const bool ovf = ((~(v1 ^ v2) & (v1 ^ v)) >> 31) != 0;
-      icc_from(v, ovf, (wide >> 32) != 0);
-      st.y = (st.y >> 1) | ((ra & 1u) << 31);
-      st.set_reg(ins.rd, v);
-      return kNoTrap;
-    }
-    case Mnemonic::kUmul:
-    case Mnemonic::kUmulcc:
-    case Mnemonic::kSmul:
-    case Mnemonic::kSmulcc: {
-      if (!cfg_.cpu.has_mul) return tt_of(Trap::kIllegalInstruction);
-      const bool sign =
-          ins.mn == Mnemonic::kSmul || ins.mn == Mnemonic::kSmulcc;
-      const u64 p = sign ? static_cast<u64>(i64{static_cast<i32>(ra)} *
-                                            i64{static_cast<i32>(rb)})
-                         : u64{ra} * u64{rb};
-      st.y = static_cast<u32>(p >> 32);
-      const u32 v = static_cast<u32>(p);
-      if (ins.mn == Mnemonic::kUmulcc || ins.mn == Mnemonic::kSmulcc) {
-        icc_from(v, false, false);
-      }
-      st.set_reg(ins.rd, v);
-      res.cycles = cfg_.cpu.mul_latency;
-      ++stats_.muldiv;
-      return kNoTrap;
-    }
-    case Mnemonic::kUdiv:
-    case Mnemonic::kUdivcc: {
-      if (!cfg_.cpu.has_div) return tt_of(Trap::kIllegalInstruction);
-      if (rb == 0) return tt_of(Trap::kDivisionByZero);
-      const u64 dividend = (u64{st.y} << 32) | ra;
-      u64 q = dividend / rb;
-      const bool ovf = q > 0xffffffffull;
-      if (ovf) q = 0xffffffffull;
-      const u32 v = static_cast<u32>(q);
-      if (ins.mn == Mnemonic::kUdivcc) icc_from(v, ovf, false);
-      st.set_reg(ins.rd, v);
-      res.cycles = cfg_.cpu.div_latency;
-      ++stats_.muldiv;
-      return kNoTrap;
-    }
-    case Mnemonic::kSdiv:
-    case Mnemonic::kSdivcc: {
-      if (!cfg_.cpu.has_div) return tt_of(Trap::kIllegalInstruction);
-      if (rb == 0) return tt_of(Trap::kDivisionByZero);
-      const i64 dividend = static_cast<i64>((u64{st.y} << 32) | ra);
-      const i64 divisor = static_cast<i32>(rb);
-      // INT64_MIN / -1 overflows the host idiv (SIGFPE); the architectural
-      // quotient 2^63 overflows the 32-bit result anyway.
-      i64 q = (dividend == std::numeric_limits<i64>::min() && divisor == -1)
-                  ? std::numeric_limits<i64>::max()
-                  : dividend / divisor;
-      bool ovf = false;
-      if (q > 0x7fffffffll) { q = 0x7fffffffll; ovf = true; }
-      if (q < -0x80000000ll) { q = -0x80000000ll; ovf = true; }
-      const u32 v = static_cast<u32>(static_cast<u64>(q));
-      if (ins.mn == Mnemonic::kSdivcc) icc_from(v, ovf, false);
-      st.set_reg(ins.rd, v);
-      res.cycles = cfg_.cpu.div_latency;
-      ++stats_.muldiv;
-      return kNoTrap;
-    }
-
-    // State registers ------------------------------------------------------------------
-    case Mnemonic::kRdy: st.set_reg(ins.rd, st.y); return kNoTrap;
-    case Mnemonic::kRdasr:
-      st.set_reg(ins.rd, st.asr[ins.rs1]);
-      return kNoTrap;
-    case Mnemonic::kRdpsr:
-      if (!st.psr.s) return tt_of(Trap::kPrivilegedInstruction);
-      st.set_reg(ins.rd, st.psr.pack());
-      return kNoTrap;
-    case Mnemonic::kRdwim:
-      if (!st.psr.s) return tt_of(Trap::kPrivilegedInstruction);
-      st.set_reg(ins.rd, st.wim & window_mask());
-      return kNoTrap;
-    case Mnemonic::kRdtbr:
-      if (!st.psr.s) return tt_of(Trap::kPrivilegedInstruction);
-      st.set_reg(ins.rd, st.tbr);
-      return kNoTrap;
-    case Mnemonic::kWry: st.y = ra ^ rb; return kNoTrap;
-    case Mnemonic::kWrasr: st.asr[ins.rd] = ra ^ rb; return kNoTrap;
-    case Mnemonic::kWrpsr: {
-      if (!st.psr.s) return tt_of(Trap::kPrivilegedInstruction);
-      const u32 v = ra ^ rb;
-      if ((v & 0x1fu) >= st.nwindows) return tt_of(Trap::kIllegalInstruction);
-      st.psr.unpack(v);
-      return kNoTrap;
-    }
-    case Mnemonic::kWrwim:
-      if (!st.psr.s) return tt_of(Trap::kPrivilegedInstruction);
-      st.wim = (ra ^ rb) & window_mask();
-      return kNoTrap;
-    case Mnemonic::kWrtbr:
-      if (!st.psr.s) return tt_of(Trap::kPrivilegedInstruction);
-      st.tbr = (st.tbr & 0x00000ff0u) | ((ra ^ rb) & 0xfffff000u);
-      return kNoTrap;
-
-    // Windows ----------------------------------------------------------------------------
-    case Mnemonic::kSave:
-    case Mnemonic::kRestore: {
-      const unsigned ncwp =
-          ins.mn == Mnemonic::kSave
-              ? (st.psr.cwp + st.nwindows - 1) % st.nwindows
-              : (st.psr.cwp + 1) % st.nwindows;
-      if ((st.wim >> ncwp) & 1u) {
-        return ins.mn == Mnemonic::kSave ? tt_of(Trap::kWindowOverflow)
-                                         : tt_of(Trap::kWindowUnderflow);
-      }
-      const u32 v = ra + rb;
-      st.psr.cwp = static_cast<u8>(ncwp);
-      st.set_reg(ins.rd, v);
-      return kNoTrap;
-    }
-
-    case Mnemonic::kFpop1: case Mnemonic::kFpop2:
-      return tt_of(Trap::kFpDisabled);
-    case Mnemonic::kCpop1: case Mnemonic::kCpop2:
-      return tt_of(Trap::kCpDisabled);
-
-    // Memory -----------------------------------------------------------------------------
-    default:
-      break;
+void LeonPipeline::on_retire(Mix kind) {
+  switch (kind) {
+    case Mix::kLoad: ++stats_.loads; break;
+    case Mix::kStore: ++stats_.stores; break;
+    case Mix::kBranch: ++stats_.branches; break;
+    case Mix::kTakenBranch: ++stats_.taken_branches; break;
+    case Mix::kCall: ++stats_.calls; break;
+    case Mix::kMulDiv: ++stats_.muldiv; break;
   }
-
-  // Loads, stores, atomics.
-  const bool alt = isa::is_alternate_space(ins.mn);
-  if (alt && !st.psr.s) return tt_of(Trap::kPrivilegedInstruction);
-
-  if (alt) {
-    u8 tt = kNoTrap;
-    if (asi_access(ins, res, tt)) return tt;
-  }
-
-  // FP/CP memory ops trap *-disabled before any address or rd legality
-  // check (SPARC V8 trap priority: fp/cp_disabled outranks
-  // mem_address_not_aligned), matching the IntegerUnit reference.
-  switch (ins.mn) {
-    case Mnemonic::kLdf: case Mnemonic::kLdfsr: case Mnemonic::kLddf:
-    case Mnemonic::kStf: case Mnemonic::kStfsr: case Mnemonic::kStdfq:
-    case Mnemonic::kStdf:
-      return tt_of(Trap::kFpDisabled);
-    case Mnemonic::kLdc: case Mnemonic::kLdcsr: case Mnemonic::kLddc:
-    case Mnemonic::kStc: case Mnemonic::kStcsr: case Mnemonic::kStdcq:
-    case Mnemonic::kStdc:
-      return tt_of(Trap::kCpDisabled);
-    default: break;
-  }
-
-  const bool ld = isa::is_load(ins.mn);
-  const bool stq = isa::is_store(ins.mn);
-  const unsigned size = isa::access_size(ins.mn);
-  const bool dbl = size == 8;
-  const Addr ea = ra + (ins.imm ? static_cast<u32>(ins.simm13)
-                                : st.reg(ins.rs2));
-
-  if (dbl && (ins.rd & 1u)) return tt_of(Trap::kIllegalInstruction);
-  const unsigned align = size;
-  if ((ea & (align - 1)) != 0 && size > 1) {
-    return tt_of(Trap::kMemAddressNotAligned);
-  }
-
-  if (ld && stq) {
-    // Atomics: ldstub / swap.
-    const unsigned asz = (ins.mn == Mnemonic::kLdstub ||
-                          ins.mn == Mnemonic::kLdstuba)
-                             ? 1
-                             : 4;
-    MemResult rr = data_read(ea, asz);
-    if (!rr.ok) return tt_of(Trap::kDataAccess);
-    const u64 newv =
-        (asz == 1) ? 0xffull : u64{st.reg(ins.rd)};
-    MemResult wr = data_write(ea, asz, newv);
-    if (!wr.ok) return tt_of(Trap::kDataAccess);
-    st.set_reg(ins.rd, static_cast<u32>(rr.value));
-    res.cycles =
-        1 + cfg_.cpu.load_extra + cfg_.cpu.store_extra + rr.cycles + wr.cycles;
-    res.mem_access = true;
-    res.mem_write = true;
-    res.mem_addr = ea;
-    res.mem_size = static_cast<u8>(asz);
-    ++stats_.loads;  // atomics count as both (isa::is_load / is_store)
-    ++stats_.stores;
-    return kNoTrap;
-  }
-
-  if (ld) {
-    MemResult rr = data_read(ea, size);
-    if (!rr.ok) return tt_of(Trap::kDataAccess);
-    if (dbl) {
-      st.set_reg(ins.rd, static_cast<u32>(rr.value >> 32));
-      st.set_reg(static_cast<u8>(ins.rd | 1u), static_cast<u32>(rr.value));
-      res.cycles = 1 + cfg_.cpu.load_double_extra + rr.cycles;
-    } else {
-      u32 v = static_cast<u32>(rr.value);
-      const bool sign = ins.mn == Mnemonic::kLdsb ||
-                        ins.mn == Mnemonic::kLdsh ||
-                        ins.mn == Mnemonic::kLdsba ||
-                        ins.mn == Mnemonic::kLdsha;
-      if (sign && size < 4) v = static_cast<u32>(sign_extend(v, size * 8));
-      st.set_reg(ins.rd, v);
-      res.cycles = 1 + cfg_.cpu.load_extra + rr.cycles;
-    }
-    res.mem_access = true;
-    res.mem_addr = ea;
-    res.mem_size = static_cast<u8>(size);
-    ++stats_.loads;
-    return kNoTrap;
-  }
-
-  if (stq) {
-    u64 v;
-    if (dbl) {
-      v = (u64{st.reg(ins.rd)} << 32) | st.reg(static_cast<u8>(ins.rd | 1u));
-    } else {
-      v = st.reg(ins.rd);
-    }
-    MemResult wr = data_write(ea, size, v);
-    if (!wr.ok) return tt_of(Trap::kDataAccess);
-    res.cycles = 1 +
-                 (dbl ? cfg_.cpu.store_double_extra : cfg_.cpu.store_extra) +
-                 wr.cycles;
-    res.mem_access = true;
-    res.mem_write = true;
-    res.mem_addr = ea;
-    res.mem_size = static_cast<u8>(size);
-    ++stats_.stores;
-    return kNoTrap;
-  }
-
-  return tt_of(Trap::kIllegalInstruction);
 }
+
+// ---------------------------------------------------------------------------
+// Stepping
+// ---------------------------------------------------------------------------
 
 StepResult LeonPipeline::step() {
   StepResult res;
@@ -925,7 +468,7 @@ void LeonPipeline::step_impl(StepResult& res) {
 
   if (irq_pending()) {
     const u8 tt = static_cast<u8>(0x10 + (irq_level_ & 0xf));
-    take_trap(tt);
+    Core::take_trap(*this, tt);
     res.trapped = true;
     res.tt = tt;
     res.cycles = cfg_.cpu.trap_latency;
@@ -943,9 +486,9 @@ void LeonPipeline::step_impl(StepResult& res) {
   if (!ifetch_hot(st_.pc, word, pins)) [[unlikely]] {
     const MemResult f = ifetch(st_.pc, word, pins);
     if (!f.ok) {
-      take_trap(tt_of(Trap::kInstructionAccess));
+      Core::take_trap(*this, Core::tt_of(Trap::kInstructionAccess));
       res.trapped = true;
-      res.tt = tt_of(Trap::kInstructionAccess);
+      res.tt = Core::tt_of(Trap::kInstructionAccess);
       res.cycles = cfg_.cpu.trap_latency + f.cycles;
       *clock_ += res.cycles;
       stats_.cycles += res.cycles;
@@ -959,7 +502,7 @@ void LeonPipeline::step_impl(StepResult& res) {
   if constexpr (kCopyIns) res.raw = word;
   isa::Instruction local;
   if (pins == nullptr) {
-    if (cfg_.cpu.host_decode_cache) {
+    if (fast_) {
       pins = &predecode_.lookup(word);
     } else {
       local = isa::decode(word);
@@ -990,11 +533,9 @@ void LeonPipeline::finish_step(const Instruction& ins, Cycles fetch_stall,
 
   cti_taken_ = false;
   res.cycles = 1;
-  // Instruction-mix accounting (branches/calls/muldiv/loads/stores) lives
-  // inside execute's no-trap paths — same retired-only counts, one switch.
-  const u8 tt = execute(ins, res);
-  if (tt != kNoTrap) [[unlikely]] {
-    take_trap(tt);
+  const u8 tt = Core::execute(*this, ins, res);
+  if (tt != Core::kNoTrap) [[unlikely]] {
+    Core::take_trap(*this, tt);
     res.trapped = true;
     res.tt = tt;
     res.cycles = cfg_.cpu.trap_latency + fetch_stall;

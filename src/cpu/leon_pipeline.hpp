@@ -7,12 +7,16 @@
 // behaviour, and peripheral access costs all land in the cycle count the
 // paper's hardware counter measures).
 //
-// execute()'s architectural semantics are implemented independently of
-// cpu::IntegerUnit; tests/property/cpu_equivalence_test.cpp runs random
-// programs through both and requires identical architectural state.  The
-// line tier's inline ALU bodies are the block engine's (cpu/alu_ops.hpp),
-// held to execute() by the fast-vs-slow equivalence grid and the pipe-run
-// conformance leg.
+// The instruction semantics are the shared SPARC V8 core
+// (cpu/sparc_core.hpp), the same code cpu::IntegerUnit runs; this class is
+// its timed skin: the fetch path, the timed data hooks, the LEON FLUSH and
+// ASI 2 cache control, and the cycle and instruction-mix accounting.
+// tests/property/cpu_equivalence_test.cpp runs random programs through
+// both models and requires identical architectural state, which holds the
+// timed memory path, the line tier, and step/trap sequencing to the
+// reference.  The line tier's inline ALU bodies are the block engine's
+// (cpu/alu_ops.hpp), held to the core by the fast-vs-slow equivalence
+// grid and the pipe-run conformance leg.
 #pragma once
 
 #include <vector>
@@ -36,12 +40,6 @@ struct PipelineConfig {
   /// Write buffer entries for the write-through store path; 0 makes every
   /// store wait for its bus write synchronously.
   unsigned write_buffer_depth = 1;
-  /// Host-performance knob (no effect on simulated cycles or state):
-  /// enables the predecoded I-cache-line mirror and the cache-hit fast
-  /// paths that skip AccessOutcome materialization.  The timed behaviour
-  /// is bit-identical either way — tests/property/fastpath_equivalence
-  /// and the differential fuzzer run both settings against each other.
-  bool host_fast_paths = true;
 };
 
 struct PipelineStats {
@@ -146,13 +144,9 @@ class LeonPipeline {
   bool load_state(SnapReader& r);
 
  private:
-  // --- timed memory paths ---------------------------------------------------
-  struct MemResult {
-    bool ok = true;
-    Cycles cycles = 0;  // stall cycles beyond the base instruction cost
-    u64 value = 0;
-  };
+  friend struct SparcCore<LeonPipeline>;
 
+  // --- timed memory paths ---------------------------------------------------
   /// Fetch the word at `pc`.  When the predecoded mirror has the decoded
   /// form, `predecoded` is pointed at it (valid until the next I-cache
   /// fill); otherwise it is left untouched (caller pre-nulls it).
@@ -191,6 +185,7 @@ class LeonPipeline {
   /// re-digest the slot's mirror when it is stale, and point the streak
   /// memo at it.  False on a miss or a poisoned line.
   bool enter_line(Addr pc);
+  /// Timed data access (SparcCore hooks): .cycles are the stall cycles.
   MemResult data_read(Addr addr, unsigned size);
   MemResult data_write(Addr addr, unsigned size, u64 value);
   /// Timed burst write of a full line's bytes (dirty victim eviction).
@@ -204,10 +199,12 @@ class LeonPipeline {
   template <bool kCopyIns>
   void step_impl(StepResult& res);
   /// The post-fetch half of a step: annulment, or execute + trap entry +
-  /// retire, then the cycle charge.
+  /// retire, then the cycle charge.  Forced inline, so the line tier's
+  /// execute path makes one call: the shared core's execute().
   template <bool kCopyIns>
-  void finish_step(const isa::Instruction& ins, Cycles fetch_stall,
-                   StepResult& res);
+  [[gnu::always_inline]] inline void finish_step(const isa::Instruction& ins,
+                                                 Cycles fetch_stall,
+                                                 StepResult& res);
   /// run() with the fast paths on and no observer: the line tier (see
   /// docs/PERFORMANCE.md; needs computed goto).  run_steps() is the
   /// per-step reference loop.
@@ -218,16 +215,17 @@ class LeonPipeline {
     return st_.psr.et && irq_level_ != 0 &&
            (irq_level_ == 15 || irq_level_ > st_.psr.pil);
   }
-  u8 execute(const isa::Instruction& ins, StepResult& res);
-  void take_trap(u8 tt);
-  u32 op2val(const isa::Instruction& ins) const;
-  u32 window_mask() const {
-    return cfg_.cpu.nwindows == 32 ? ~0u : ((1u << cfg_.cpu.nwindows) - 1u);
-  }
-  void icc_from(u32 res, bool v, bool c);
 
-  // ASI-mediated cache control (lda/sta with asi 2).
-  bool asi_access(const isa::Instruction& ins, StepResult& res, u8& tt);
+  // The other SparcCore hooks.
+  const CpuConfig& cpu_cfg() const { return cfg_.cpu; }
+  /// LEON FLUSH: invalidate the I- and D-cache lines holding `addr`,
+  /// writing a dirty D-line back.
+  void flush_line(Addr addr, StepResult& res);
+  /// LEON ASI 2 at address 0, the cache control register: lda reads it,
+  /// sta's FI/FD bits flush the caches.  False for any other access.
+  bool asi_access(const isa::Instruction& ins, Addr ea, StepResult& res);
+  void on_trap(u8) { ++stats_.traps; }
+  void on_retire(Mix kind);
 
   PipelineConfig cfg_;
   bus::AhbBus& bus_;
@@ -240,7 +238,7 @@ class LeonPipeline {
   PipelineStats stats_;
 
   // --- host fast-path state (never affects simulated time/state) ------------
-  isa::DecodeCache predecode_;  // word-keyed; see CpuConfig::host_decode_cache
+  isa::DecodeCache predecode_;  // word-keyed; see CpuConfig::host_fast_paths
   /// Per-I-cache-slot mirror of the resident line's decoded instructions,
   /// (re)built whenever a line is filled, and on the first hit of a line
   /// whose mirror is stale (restored from a snapshot).
@@ -296,7 +294,7 @@ class LeonPipeline {
   u32 iline_words_ = 0;   // icache line_bytes / 4
   u32 iline_words_shift_ = 0;  // log2(iline_words_): mirror slot stride
   u32 dline_mask_ = 0;    // dcache line_bytes - 1
-  bool fast_ = false;     // cfg_.host_fast_paths (hoisted)
+  bool fast_ = false;     // cfg_.cpu.host_fast_paths (hoisted)
   bool hot_ifetch_ = false;  // fast_ && icache_enabled (hoisted)
 
   bool annul_next_ = false;

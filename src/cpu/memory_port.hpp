@@ -1,8 +1,11 @@
-// The memory interface the integer unit executes against.
+// The memory interface the functional integer unit executes against.
 //
-// The functional model plugs a FlatMemory in here; the timed pipeline plugs
-// the whole cache/AHB/SDRAM stack in.  Access failure (bus error, unmapped
-// address) becomes a data/instruction access exception in the CPU.
+// IntegerUnit's SparcCore hooks (cpu/sparc_core.hpp) reach memory through
+// this port, typically a FlatMemory.  The timed LeonPipeline runs the same
+// core but wires its data hooks straight to its cache/AHB/SDRAM stack,
+// which also returns the stall cycles, so it needs no port.  Access
+// failure (bus error, unmapped address) becomes a data/instruction access
+// exception in the CPU.
 #pragma once
 
 #include "common/types.hpp"

@@ -181,7 +181,7 @@ DiffOutcome DifferentialRunner::run_source(const std::string& source,
   // this leg reruns the identical config observerless so run() engages
   // the block engine, and must match leg A bit-for-bit (state, memory,
   // step and cycle counts).
-  if (opt_.pipeline.cpu.host_block_engine) {
+  if (opt_.pipeline.cpu.host_fast_paths) {
     cpu::FlatMemory bflat(kMemSize, kMemBase);
     bflat.load(img.base, img.data);
     cpu::IntegerUnit biu(acfg, bflat);

@@ -52,19 +52,9 @@ std::vector<cpu::PipelineConfig> Fuzzer::config_rotation() {
 
   // Host fast paths off (default geometry): every campaign continuously
   // cross-checks the perf layer against the plain decode/per-step code.
-  // With the block engine off too this is exactly the pre-perf-work
-  // interpreter.
   cpu::PipelineConfig slow;
-  slow.host_fast_paths = false;
-  slow.cpu.host_decode_cache = false;
-  slow.cpu.host_block_engine = false;
+  slow.cpu.host_fast_paths = false;
   cfgs.push_back(slow);
-
-  // Block translation engine off, fast paths otherwise on: isolates the
-  // block tier as a rotation axis of its own.
-  cpu::PipelineConfig noblock;
-  noblock.cpu.host_block_engine = false;
-  cfgs.push_back(noblock);
 
   return cfgs;
 }
@@ -118,14 +108,7 @@ int Fuzzer::run() {
       for (std::size_t i = 0; i < corpus_.size(); ++i) {
         DiffOptions opt;
         opt.pipeline = config_rotation().front();
-        if (cfg_.disable_fast_paths) {
-          opt.pipeline.host_fast_paths = false;
-          opt.pipeline.cpu.host_decode_cache = false;
-          opt.pipeline.cpu.host_block_engine = false;
-        }
-        if (cfg_.disable_block_engine) {
-          opt.pipeline.cpu.host_block_engine = false;
-        }
+        if (cfg_.disable_fast_paths) opt.pipeline.cpu.host_fast_paths = false;
         opt.with_system = cfg_.with_system;
         opt.inject_subx_bug = cfg_.inject_subx_bug;
         DifferentialRunner runner(opt);
@@ -143,14 +126,7 @@ int Fuzzer::run() {
 
   std::vector<cpu::PipelineConfig> rotation = config_rotation();
   if (cfg_.disable_fast_paths) {
-    for (cpu::PipelineConfig& c : rotation) {
-      c.host_fast_paths = false;
-      c.cpu.host_decode_cache = false;
-      c.cpu.host_block_engine = false;
-    }
-  }
-  if (cfg_.disable_block_engine) {
-    for (cpu::PipelineConfig& c : rotation) c.cpu.host_block_engine = false;
+    for (cpu::PipelineConfig& c : rotation) c.cpu.host_fast_paths = false;
   }
   for (u64 iter = 0; iter < max_iters; ++iter) {
     if (timed) {

@@ -40,15 +40,11 @@ struct FuzzConfig {
   /// Self-check fault injection (see DiffOptions::inject_subx_bug).
   bool inject_subx_bug = false;
   /// Force every rotation entry to run with the host fast paths off
-  /// (predecode cache, cache-hit probes, batched system run loop).  The
-  /// default rotation already includes one fast-off configuration; this
-  /// turns the whole campaign into a slow-path baseline for A/B runs.
+  /// (decode cache, block engine, I-cache mirror and line tier, cache-hit
+  /// probes, batched system run loop).  The default rotation already
+  /// includes one fast-off configuration; this turns the whole campaign
+  /// into a slow-path baseline for A/B runs.
   bool disable_fast_paths = false;
-  /// Force every rotation entry to run with the block translation engine
-  /// off.  The default rotation already includes one block-off
-  /// configuration (the slow entry); this pins the whole campaign to the
-  /// per-step interpreter for A/B runs against the block tier.
-  bool disable_block_engine = false;
   /// Progress lines to stderr.
   bool verbose = false;
 };

@@ -113,9 +113,9 @@ void save_pipeline_config(SnapWriter& w, const cpu::PipelineConfig& p) {
   w.u32v(p.write_buffer_depth);
 }
 
-/// Architectural pipeline config from the stream; host knobs (fast paths,
-/// decode cache) are copied from `host` — they belong to the restoring
-/// system, not the snapshot.
+/// Architectural pipeline config from the stream; the host fast-path
+/// switch is copied from `host` — it belongs to the restoring system, not
+/// the snapshot.
 cpu::PipelineConfig load_pipeline_config(SnapReader& r,
                                          const cpu::PipelineConfig& host) {
   cpu::PipelineConfig p;
@@ -137,8 +137,7 @@ cpu::PipelineConfig load_pipeline_config(SnapReader& r,
   p.icache_enabled = r.b();
   p.dcache_enabled = r.b();
   p.write_buffer_depth = r.u32v();
-  p.cpu.host_decode_cache = host.cpu.host_decode_cache;
-  p.host_fast_paths = host.host_fast_paths;
+  p.cpu.host_fast_paths = host.cpu.host_fast_paths;
   return p;
 }
 

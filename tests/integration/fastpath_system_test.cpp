@@ -26,8 +26,7 @@ namespace {
 
 sim::SystemConfig config_for(bool fast) {
   sim::SystemConfig cfg;
-  cfg.pipeline.host_fast_paths = fast;
-  cfg.pipeline.cpu.host_decode_cache = fast;
+  cfg.pipeline.cpu.host_fast_paths = fast;
   return cfg;
 }
 

@@ -1,7 +1,10 @@
-// The central property test: the functional IntegerUnit and the timed
-// LeonPipeline are two independently written implementations of SPARC V8;
-// random programs must leave both in identical architectural state (and
-// identical memory), across pipeline configurations.
+// The central two-model property test: the functional IntegerUnit and the
+// timed LeonPipeline run one SPARC V8 semantics core (cpu/sparc_core.hpp,
+// pinned by the conformance corpus) behind different fetch, memory, and
+// step/trap machinery; random programs must leave both in identical
+// architectural state (and identical memory), across pipeline
+// configurations.  That checks the pipeline's timed memory path, caches,
+// line tier, and step/trap sequencing against the reference.
 //
 // Programs come from the shared src/fuzz generator (the same one lfuzz
 // drives), and the comparison is the shared differential runner — this

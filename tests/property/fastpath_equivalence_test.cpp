@@ -2,12 +2,12 @@
 // program on the same rig must leave LeonPipeline with bit-identical
 // architectural state, statistics (cycles included), cache statistics,
 // full save_state bytes (LRU ticks, line data, write-buffer and annul
-// latches), and memory with `host_fast_paths`/`host_decode_cache` on vs
-// off — and leave IntegerUnit bit-identical across the slow /
-// decode-cache / block-engine three-way grid.
+// latches), and memory with `host_fast_paths` on vs off — and leave
+// IntegerUnit bit-identical across the slow / fast-stepped / block-engine
+// three-way grid.
 //
 // This is the direct fast-vs-slow sibling of cpu_equivalence_test (which
-// checks the pipeline against the independent functional model); programs
+// checks the pipeline against the functional reference model); programs
 // come from the same shared generator, seed count from LA_PROPERTY_SEEDS.
 #include <gtest/gtest.h>
 
@@ -82,11 +82,9 @@ void check_seed(u64 seed, cpu::PipelineConfig base, int chunks) {
   const Addr done = img.symbol(fuzz::kDoneSymbol);
   const u64 budget = 4096 + 16u * (img.data.size() / 4);
 
-  base.host_fast_paths = true;
-  base.cpu.host_decode_cache = true;
+  base.cpu.host_fast_paths = true;
   Leg fast(img, base);
-  base.host_fast_paths = false;
-  base.cpu.host_decode_cache = false;
+  base.cpu.host_fast_paths = false;
   Leg slow(img, base);
 
   const u64 nf = fast.pipe->run(budget, done);
@@ -157,22 +155,33 @@ void check_seed(u64 seed, cpu::PipelineConfig base, int chunks) {
   }
 }
 
-// ---- IntegerUnit: slow / decode-cache / block-engine three-way grid ----
+// ---- IntegerUnit: slow / fast-stepped / block-engine three-way grid ----
 
-/// One functional-model leg on flat memory, driven through run() (the only
-/// entry point that can engage the block engine).
+/// One functional-model leg on flat memory.  run() is the only entry point
+/// that can engage the block engine; the stepped leg runs the fast paths
+/// through step() instead, with run()'s stop conditions.
 struct IuLeg {
-  IuLeg(const sasm::Image& img, bool decode_cache, bool block_engine)
-      : mem(kMemSize, kMemBase) {
+  IuLeg(const sasm::Image& img, bool fast, bool stepped)
+      : mem(kMemSize, kMemBase), stepped(stepped) {
     mem.load(img.base, img.data);
     cpu::CpuConfig cfg;
-    cfg.host_decode_cache = decode_cache;
-    cfg.host_block_engine = block_engine;
+    cfg.host_fast_paths = fast;
     iu = std::make_unique<cpu::IntegerUnit>(cfg, mem);
     iu->reset(img.entry);
   }
 
+  u64 run(u64 budget, Addr done) {
+    if (!stepped) return iu->run(budget, done);
+    u64 n = 0;
+    while (n < budget && !iu->state().error_mode && iu->state().pc != done) {
+      iu->step();
+      ++n;
+    }
+    return n;
+  }
+
   cpu::FlatMemory mem;
+  bool stepped;
   std::unique_ptr<cpu::IntegerUnit> iu;
 };
 
@@ -190,13 +199,13 @@ void check_iu_seed(u64 seed, int chunks) {
   const Addr done = img.symbol(fuzz::kDoneSymbol);
   const u64 budget = 4096 + 16u * (img.data.size() / 4);
 
-  IuLeg slow(img, /*decode_cache=*/false, /*block_engine=*/false);
-  IuLeg fast(img, /*decode_cache=*/true, /*block_engine=*/false);
-  IuLeg block(img, /*decode_cache=*/true, /*block_engine=*/true);
+  IuLeg slow(img, /*fast=*/false, /*stepped=*/false);
+  IuLeg fast(img, /*fast=*/true, /*stepped=*/true);
+  IuLeg block(img, /*fast=*/true, /*stepped=*/false);
 
-  const u64 ns = slow.iu->run(budget, done);
-  const u64 nf = fast.iu->run(budget, done);
-  const u64 nb = block.iu->run(budget, done);
+  const u64 ns = slow.run(budget, done);
+  const u64 nf = fast.run(budget, done);
+  const u64 nb = block.run(budget, done);
 
   EXPECT_EQ(ns, nf) << "seed " << seed << ": slow/fast step counts differ";
   EXPECT_EQ(ns, nb) << "seed " << seed << ": slow/block step counts differ";

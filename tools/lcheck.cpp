@@ -21,11 +21,11 @@
 //                                  value` with a legal metric name
 //   lcheck --bench-sim FILE        BENCH_sim.json trajectory rows: known
 //                                  model and workload names, boolean
-//                                  fast_paths/block_engine, positive
-//                                  median host_mips inside its sample
-//                                  min/max, >= 5 samples, build type and
-//                                  core count, and complete fast on/off
-//                                  (+ block on/off) pairings
+//                                  fast_paths, positive median host_mips
+//                                  inside its sample min/max, >= 5
+//                                  samples, build type, commit and core
+//                                  count, and complete fast on/off
+//                                  pairings
 //
 // Exit codes: 0 all checks pass, 1 a check failed, 2 usage/IO error.
 #include <cctype>
@@ -585,7 +585,7 @@ int check_bench_sim(const std::string& file, const std::string& text) {
       "integer_unit", "leon_pipeline", "liquid_system",
       "liquid_system_flight"};
   static const std::set<std::string> kWorkloads = {"alu_loop", "crc32"};
-  // (model, workload, fast_paths, block_engine) keys seen, for pairing.
+  // (model, workload, fast_paths) keys seen, for pairing.
   std::set<std::string> seen;
   std::size_t index = 0;
   for (const auto& row : doc->array) {
@@ -606,15 +606,8 @@ int check_bench_sim(const std::string& file, const std::string& text) {
       return complain(file, at + " lacks a known string 'workload'");
     }
     const JsonValue* fast = row->get("fast_paths");
-    const JsonValue* block = row->get("block_engine");
-    if (fast == nullptr || !fast->is(JsonValue::kBool) || block == nullptr ||
-        !block->is(JsonValue::kBool)) {
-      return complain(file,
-                      at + " lacks boolean 'fast_paths'/'block_engine'");
-    }
-    if (block->boolean && model->string != "integer_unit") {
-      return complain(file, at + " block_engine=true on '" + model->string +
-                                "' (only the functional model has that tier)");
+    if (fast == nullptr || !fast->is(JsonValue::kBool)) {
+      return complain(file, at + " lacks boolean 'fast_paths'");
     }
     for (const char* key : {"host_mips", "host_mips_min", "host_mips_max",
                             "cycles_per_sec", "secs", "nproc"}) {
@@ -634,10 +627,11 @@ int check_bench_sim(const std::string& file, const std::string& text) {
         samples->number < 5) {
       return complain(file, at + " lacks number 'samples' >= 5");
     }
-    const JsonValue* build = row->get("build_type");
-    if (build == nullptr || !build->is(JsonValue::kString) ||
-        build->string.empty()) {
-      return complain(file, at + " lacks non-empty string 'build_type'");
+    for (const char* key : {"build_type", "commit"}) {
+      const JsonValue* v = row->get(key);
+      if (v == nullptr || !v->is(JsonValue::kString) || v->string.empty()) {
+        return complain(file, at + " lacks non-empty string '" + key + "'");
+      }
     }
     const JsonValue* instr = row->get("instructions");
     if (instr == nullptr || !instr->is(JsonValue::kNumber) ||
@@ -646,16 +640,14 @@ int check_bench_sim(const std::string& file, const std::string& text) {
                       at + " lacks non-negative number 'instructions'");
     }
     const std::string key = model->string + "/" + workload->string +
-                            (fast->boolean ? "/fast" : "/slow") +
-                            (block->boolean ? "/block" : "");
+                            (fast->boolean ? "/fast" : "/slow");
     if (!seen.insert(key).second) {
       return complain(file, at + " duplicates " + key);
     }
   }
 
   // Pairing: every model measured on the ALU loop with the host fast
-  // paths both on and off, the node likewise on the crc32 kernel, and the
-  // functional model's block tier paired with its block-off fast row.
+  // paths both on and off, and the node likewise on the crc32 kernel.
   // (The flight-recorder variant exists only as a fast-path overhead row.)
   for (const char* m :
        {"integer_unit/alu_loop", "leon_pipeline/alu_loop",
@@ -665,9 +657,6 @@ int check_bench_sim(const std::string& file, const std::string& text) {
         return complain(file, std::string("missing ") + m + leg + " row");
       }
     }
-  }
-  if (seen.count("integer_unit/alu_loop/fast/block") == 0) {
-    return complain(file, "missing integer_unit block_engine=true row");
   }
   std::printf("lcheck: %s: %zu measurement row(s), pairings complete\n",
               file.c_str(), doc->array.size());
