@@ -105,9 +105,10 @@ BENCHMARK(BM_PipelineStep);
 // ---- host-MIPS benchmarks ------------------------------------------------
 // The per-step benchmarks above measure one `step()` call including the
 // StepResult materialization the caller pays; the `_MIPS` variants drive
-// the models the way experiments do — through `run()` — which is where the
-// batched hot loops live.  Each reports host instructions/sec as a rate
-// counter (`instr_per_sec`).
+// the models the way experiments do — through `run()`, which for the
+// pipeline and the node is where the batched hot loops live (the
+// functional model's run() is a plain loop over step()).  Each reports
+// host instructions/sec as a rate counter (`instr_per_sec`).
 
 void report_mips(benchmark::State& state, u64 instructions) {
   state.SetItemsProcessed(static_cast<i64>(instructions));

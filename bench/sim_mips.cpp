@@ -1,8 +1,10 @@
 // Host-throughput trajectory bench: how many simulated instructions per
-// wall-clock second each execution model sustains, with the host fast
-// paths (CpuConfig::host_fast_paths) on, the default configuration, and
-// off, the per-step reference.  With them on the functional model runs
-// its basic-block translation engine and the pipeline its line tier.
+// wall-clock second each execution model sustains.  The pipeline and the
+// node are measured with their host fast paths
+// (PipelineConfig::host_fast_paths) on, the default configuration, and
+// off, the per-step reference; with them on the pipeline runs its line
+// tier.  The functional model has no fast tier, so it gets one row, with
+// `fast_paths: false`.
 //
 // Two workloads: `alu_loop`, a 5-instruction ALU/branch loop, on every
 // model; and `crc32`, progs/crc32.s (branchy, data-dependent, with a
@@ -15,9 +17,9 @@
 // source commit the build was configured from (`git describe --always
 // --dirty`), and the host's core count:
 //
-//   {"model": "integer_unit", "workload": "alu_loop", "fast_paths": true,
-//    "host_mips": 310.7, "host_mips_min": 305.2, "host_mips_max": 314.9,
-//    "samples": 5, "cycles_per_sec": 3.9e8, "instructions": 310700000,
+//   {"model": "leon_pipeline", "workload": "alu_loop", "fast_paths": true,
+//    "host_mips": 206.1, "host_mips_min": 185.5, "host_mips_max": 225.2,
+//    "samples": 5, "cycles_per_sec": 2.5e8, "instructions": 206100000,
 //    "secs": 1.0, "build_type": "Release", "commit": "cd93bc811c7f",
 //    "nproc": 4}
 //
@@ -165,15 +167,13 @@ Row measure(const std::string& model, bool fast, double budget_secs,
   return row;
 }
 
-Row measure_integer_unit(bool fast, double secs) {
+Row measure_integer_unit(double secs) {
   const auto img = sasm::assemble_or_throw(kLoop);
-  cpu::CpuConfig cfg;
-  cfg.host_fast_paths = fast;
   cpu::FlatMemory mem(1 << 16);
   mem.load(img.base, img.data);
-  cpu::IntegerUnit iu(cfg, mem);
+  cpu::IntegerUnit iu(cpu::CpuConfig{}, mem);
   iu.reset(img.entry);
-  return measure("integer_unit", fast, secs, [&](u64& instr, u64& cyc) {
+  return measure("integer_unit", false, secs, [&](u64& instr, u64& cyc) {
     instr += iu.run(kChunk);
     cyc = iu.cycle_count();
   });
@@ -182,7 +182,7 @@ Row measure_integer_unit(bool fast, double secs) {
 Row measure_leon_pipeline(bool fast, double secs) {
   const auto img = sasm::assemble_or_throw(kLoop);
   cpu::PipelineConfig cfg;
-  cfg.cpu.host_fast_paths = fast;
+  cfg.host_fast_paths = fast;
   mem::Sram sram(0, 1 << 16);
   sram.backdoor_write(img.base, img.data);
   bus::AhbBus bus;
@@ -201,7 +201,7 @@ Row measure_liquid_system(bool fast, double secs,
                           bool flight_recorder = false,
                           const char* workload = "alu_loop") {
   sim::SystemConfig cfg;
-  cfg.pipeline.cpu.host_fast_paths = fast;
+  cfg.pipeline.host_fast_paths = fast;
   cfg.flight_recorder = flight_recorder;
   sim::LiquidSystem sys(cfg);
   sys.run(200);  // boot into the ROM polling loop
@@ -235,7 +235,7 @@ int usage() {
                "usage: sim_mips [--out FILE] [--secs N]\n"
                "  --out FILE   output JSON path (default BENCH_sim.json)\n"
                "  --secs N     wall-clock budget per measurement, seconds\n"
-               "               (default 1.0, split into %d samples; nine\n"
+               "               (default 1.0, split into %d samples; eight\n"
                "               measurements total)\n",
                kSamples);
   return 2;
@@ -259,8 +259,8 @@ int main(int argc, char** argv) {
   }
 
   std::vector<Row> rows;
+  rows.push_back(measure_integer_unit(secs));
   for (const bool fast : {false, true}) {
-    rows.push_back(measure_integer_unit(fast, secs));
     rows.push_back(measure_leon_pipeline(fast, secs));
     rows.push_back(measure_liquid_system(fast, secs));
   }

@@ -153,7 +153,7 @@ TestVector build_vector(std::string name, const Scenario& sc) {
   for (const auto& [a, w] : sc.code) flat.write(a, 4, w);
   RecordingMemory rec(flat);
 
-  cpu::IntegerUnit iu(sc.cfg.cpu_config(false), rec);
+  cpu::IntegerUnit iu(sc.cfg.cpu_config(), rec);
   iu.reset(sc.pc);
   apply_state(v.pre, iu.state());
   for (int i = 0; i < sc.steps; ++i) {

@@ -12,9 +12,7 @@ namespace la::conform {
 
 const char* leg_name(Leg leg) {
   switch (leg) {
-    case Leg::kIuSlow: return "iu-slow";
-    case Leg::kIuFast: return "iu-fast";
-    case Leg::kIuBlock: return "iu-block";
+    case Leg::kIu: return "iu";
     case Leg::kPipeSlow: return "pipe-slow";
     case Leg::kPipeFast: return "pipe-fast";
     case Leg::kPipeRun: return "pipe-run";
@@ -51,12 +49,12 @@ void note_trap(RunOutcome& o, const cpu::StepResult& r) {
   }
 }
 
-RunOutcome run_iu(const TestVector& v, bool fast) {
+RunOutcome run_iu(const TestVector& v) {
   cpu::FlatMemory flat(kVecMemSize, kVecMemBase);
   for (const auto& [a, w] : v.pre.mem) flat.write(a, 4, w);
   for (const auto& [a, w] : v.code) flat.write(a, 4, w);
 
-  cpu::IntegerUnit iu(v.cfg.cpu_config(fast), flat);
+  cpu::IntegerUnit iu(v.cfg.cpu_config(), flat);
   iu.reset(v.pre.pc);
   apply_state(v.pre, iu.state());
 
@@ -71,38 +69,13 @@ RunOutcome run_iu(const TestVector& v, bool fast) {
   return o;
 }
 
-// The block leg drives the observerless run() loop — the only entry point
-// that engages the translation engine — and reads the trap outcome from
-// the IntegerUnit's own bookkeeping (take_trap counts every trap and
-// latches the most recent tt, matching note_trap's last-trap-wins rule).
-RunOutcome run_iu_block(const TestVector& v) {
-  cpu::FlatMemory flat(kVecMemSize, kVecMemBase);
-  for (const auto& [a, w] : v.pre.mem) flat.write(a, 4, w);
-  for (const auto& [a, w] : v.code) flat.write(a, 4, w);
-
-  cpu::IntegerUnit iu(v.cfg.cpu_config(true), flat);
-  iu.reset(v.pre.pc);
-  apply_state(v.pre, iu.state());
-
-  RunOutcome o;
-  iu.run(static_cast<u64>(v.steps));
-  o.trapped = iu.trap_count() != 0;
-  if (o.trapped) o.tt = iu.last_trap_tt();
-  o.cycles = iu.cycle_count();
-  o.got = capture_state(iu.state());
-  for (const auto& [a, want] : v.post.mem) {
-    (void)want;
-    o.got.mem[a] = flat.word_at(a);
-  }
-  return o;
-}
-
 // `run` selects the pipe-run leg: the vector's code lines are filled into
 // the I-cache first — architecturally invisible, the bytes are memory's —
 // so run() meets them resident and executes through the line tier (a
-// cold fetch would take the per-step miss path).  The trap outcome comes
-// from the pipeline's own bookkeeping, as in the iu-block leg: the trap
-// counter and the tt field take_trap latches into TBR.
+// cold fetch would take the per-step miss path).  run() hands back no
+// step results, so the trap outcome comes from the pipeline's own
+// bookkeeping: the trap counter and the tt field take_trap latches into
+// TBR (the last trap wins, as in note_trap).
 RunOutcome run_pipe(const TestVector& v, bool fast, bool run = false) {
   mem::Sram sram(kVecMemBase, kVecMemSize);
   bus::AhbBus bus;
@@ -110,7 +83,8 @@ RunOutcome run_pipe(const TestVector& v, bool fast, bool run = false) {
   Cycles clock = 0;
 
   cpu::PipelineConfig pcfg;
-  pcfg.cpu = v.cfg.cpu_config(fast);
+  pcfg.cpu = v.cfg.cpu_config();
+  pcfg.host_fast_paths = fast;
   cpu::LeonPipeline pipe(pcfg, bus, &clock, &all_cacheable);
   pipe.reset(v.pre.pc);
   apply_state(v.pre, pipe.state());
@@ -149,13 +123,10 @@ RunOutcome run_pipe(const TestVector& v, bool fast, bool run = false) {
 }  // namespace
 
 std::string replay_vector(const TestVector& v, Leg leg) {
-  const bool iu = leg == Leg::kIuSlow || leg == Leg::kIuFast ||
-                  leg == Leg::kIuBlock;
-  const bool fast = leg == Leg::kIuFast || leg == Leg::kPipeFast ||
-                    leg == Leg::kPipeRun;
-  const RunOutcome o = leg == Leg::kIuBlock ? run_iu_block(v)
-                       : iu                 ? run_iu(v, fast)
-                       : run_pipe(v, fast, leg == Leg::kPipeRun);
+  const bool iu = leg == Leg::kIu;
+  const RunOutcome o =
+      iu ? run_iu(v)
+         : run_pipe(v, leg != Leg::kPipeSlow, leg == Leg::kPipeRun);
 
   const std::string tag = v.name + " [" + leg_name(leg) + "] ";
   if (auto d = diff_states(o.got, v.post); !d.empty()) return tag + d;
@@ -174,7 +145,7 @@ std::string replay_vector(const TestVector& v, Leg leg) {
 }
 
 std::string replay_vector_all(const TestVector& v) {
-  for (const Leg leg : kAllLegs) {  // all six legs
+  for (const Leg leg : kAllLegs) {
     if (auto d = replay_vector(v, leg); !d.empty()) return d;
   }
   return "";

@@ -37,13 +37,12 @@ struct VecConfig {
   bool has_div = true;
   bool quirk_subx = false;
 
-  cpu::CpuConfig cpu_config(bool host_fast_paths) const {
+  cpu::CpuConfig cpu_config() const {
     cpu::CpuConfig c;
     c.nwindows = nwindows;
     c.has_mul = has_mul;
     c.has_div = has_div;
     c.quirk_subx_no_carry = quirk_subx;
-    c.host_fast_paths = host_fast_paths;
     return c;
   }
 };

@@ -1,15 +1,15 @@
-// Inline ALU semantics shared by the threaded execution tiers.
+// Inline ALU semantics for LeonPipeline's line tier.
 //
-// Two dispatchers run the pure register-to-register operations (the ALU
-// range of isa::HandlerKind) inline instead of through the shared core's
-// execute() switch: BlockEngine's translated traces over the functional
-// model, and LeonPipeline's line tier over its predecoded I-cache mirror.
-// This header is their one copy of those operations: an X-macro both
-// dispatchers instantiate, plus the condition-code helpers it and the
-// semantics core (cpu/sparc_core.hpp) share.
+// The line tier (run_lines() over the predecoded I-cache mirror) runs the
+// pure register-to-register operations inline instead of through the
+// shared core's execute() switch.  This header is the one list of those
+// operations: an X-macro from which leon_pipeline.cpp generates the
+// dispatch tokens, the mnemonic-to-token switch and the handlers, plus
+// the condition-code helpers it and the semantics core
+// (cpu/sparc_core.hpp) share.
 //
-// LA_ALU_OPS(M) expands M(label stem, HandlerKind, body) once per inline
-// handler.  Each body mirrors the corresponding case of
+// LA_ALU_OPS(M) expands M(label stem, Mnemonic enumerator, body) once per
+// inline op.  Each body mirrors the corresponding case of
 // SparcCore::execute(): A and B are the operands (rs1 and rs2-or-simm13;
 // sethi's B is its pre-shifted imm22), and the body relies on three hooks
 // the expansion site defines:

@@ -42,17 +42,6 @@ struct CpuConfig {
   /// (LEON2 trap latency is 4-5 cycles).
   Cycles trap_latency = 4;
 
-  /// Host-performance switch (no effect on simulated cycles or state).
-  /// On, every model takes its fast paths: the word-keyed decode cache
-  /// (never stale), the IntegerUnit's basic-block translation engine on
-  /// observerless run() calls (src/cpu/block_engine.*), and the
-  /// LeonPipeline's predecoded I-cache mirror, cache-hit fast paths and
-  /// line tier (docs/PERFORMANCE.md).  Off is the reference: isa::decode()
-  /// on every fetch and plain per-step loops.  The conformance legs, the
-  /// equivalence grids and the differential fuzzer run both settings
-  /// against each other.
-  bool host_fast_paths = true;
-
   /// Deliberate semantic fault: SUBX ignores the carry-in.  Exists solely
   /// so the differential fuzzer can prove, end to end, that it detects and
   /// minimizes a real divergence (lfuzz --inject-bug; see docs/TESTING.md).

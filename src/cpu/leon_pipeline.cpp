@@ -8,7 +8,6 @@
 #include "cpu/alu_ops.hpp"
 #include "cpu/sparc_core.hpp"
 #include "isa/decode.hpp"
-#include "isa/handler_table.hpp"
 #include "isa/traps.hpp"
 
 namespace la::cpu {
@@ -34,15 +33,32 @@ void line_write(u8* line, u32 off, unsigned size, u64 v) {
   }
 }
 
-// Line-tier dispatch tokens: the register forms of the inline ALU handlers
-// (isa::HandlerKind's ALU range, in order), then the two structural
-// tokens, then the immediate-form twins at kOpAluImmBase.
+// Line-tier dispatch tokens: the register forms of the inline ALU ops (in
+// LA_ALU_OPS order, the order run_lines() builds its label tables in),
+// then the two structural tokens, then the immediate-form twins at
+// kOpAluImmBase.
 enum : u8 {
-  kOpExecute = static_cast<u8>(isa::HandlerKind::kGeneric),
-  kOpBicc = static_cast<u8>(isa::HandlerKind::kCount),
+#define LA_LT_TOKEN(name, mn, ...) kOp_##name,
+  LA_ALU_OPS(LA_LT_TOKEN)
+#undef LA_LT_TOKEN
+  kOpExecute,
+  kOpBicc,
   kOpAluImmBase,
-  kOpKinds = kOpAluImmBase + static_cast<u8>(isa::HandlerKind::kGeneric),
+  kOpKinds = kOpAluImmBase + kOpExecute,
 };
+
+/// The register-form token of `mn`'s inline ALU op, or kOpExecute.
+u8 alu_token(Mnemonic mn) {
+  switch (mn) {
+#define LA_LT_CASE(name, mn, ...) \
+  case Mnemonic::mn:              \
+    return kOp_##name;
+    LA_ALU_OPS(LA_LT_CASE)
+#undef LA_LT_CASE
+    default:
+      return kOpExecute;
+  }
+}
 
 }  // namespace
 
@@ -64,8 +80,8 @@ LeonPipeline::LeonPipeline(const PipelineConfig& cfg, bus::AhbBus& bus,
       iline_words_shift_(
           static_cast<u32>(std::countr_zero(cfg.icache.words_per_line()))),
       dline_mask_(cfg.dcache.line_bytes - 1),
-      fast_(cfg.cpu.host_fast_paths),
-      hot_ifetch_(cfg.cpu.host_fast_paths && cfg.icache_enabled) {
+      fast_(cfg.host_fast_paths),
+      hot_ifetch_(cfg.host_fast_paths && cfg.icache_enabled) {
   assert(cfg.cpu.valid() && cfg.icache.valid() && cfg.dcache.valid());
   assert(clock != nullptr && cacheable != nullptr);
   // Doubleword accesses must never straddle a line.
@@ -125,9 +141,9 @@ void LeonPipeline::predecode_line(u32 slot, Addr line_addr, const u8* line) {
     const u32 word = static_cast<u32>(line_read(line, w * 4, 4));
     const isa::Instruction& ins = predecode_.lookup(word);
     imirror_ins_[base + w] = ins;
-    // The line-tier token: isa::handler_info's inline ALU kinds (immediate
-    // forms resolved into their twin token, sethi's constant pre-shifted),
-    // Bicc with cond/annul/displacement folded in, execute() for the rest.
+    // The line-tier token: the inline ALU ops (immediate forms resolved
+    // into their twin token, sethi's constant pre-shifted), Bicc with
+    // cond/annul/displacement folded in, execute() for the rest.
     LineOp& o = imirror_ops_[base + w];
     o = LineOp{};
     if (ins.mn == Mnemonic::kBicc) {
@@ -137,16 +153,12 @@ void LeonPipeline::predecode_line(u32 slot, Addr line_addr, const u8* line) {
       o.imm = static_cast<u32>(ins.disp) << 2;
       continue;
     }
-    const isa::HandlerKind kind = isa::handler_info(ins.mn).kind;
-    if (kind == isa::HandlerKind::kGeneric) {
-      o.kind = kOpExecute;
-      continue;
-    }
-    o.kind = static_cast<u8>(kind);
+    o.kind = alu_token(ins.mn);
+    if (o.kind == kOpExecute) continue;
     o.a = ins.rs1;
     o.b = ins.rs2;
     o.d = ins.rd;
-    if (kind == isa::HandlerKind::kSethi) {
+    if (o.kind == kOp_sethi) {
       o.kind = static_cast<u8>(kOpAluImmBase + o.kind);
       o.imm = ins.imm22 << 10;
     } else if (ins.imm) {
@@ -693,10 +705,10 @@ u64 LeonPipeline::run_lines(const RunWindow& w) {
   // handler proper (window check and fetch accounting first) and its
   // body, entered from `enter`, whose lookup_hit probe already did the
   // fetch accounting.  Table order is the token numbering.
-#define LA_LT_LABEL_REG(name, kind, ...) &&lab_##name,
-#define LA_LT_LABEL_IMM(name, kind, ...) &&lab_##name##_i,
-#define LA_LT_BODY_REG(name, kind, ...) &&lab_##name##_body,
-#define LA_LT_BODY_IMM(name, kind, ...) &&lab_##name##_i_body,
+#define LA_LT_LABEL_REG(name, mn, ...) &&lab_##name,
+#define LA_LT_LABEL_IMM(name, mn, ...) &&lab_##name##_i,
+#define LA_LT_BODY_REG(name, mn, ...) &&lab_##name##_body,
+#define LA_LT_BODY_IMM(name, mn, ...) &&lab_##name##_i_body,
   static const void* const kLabels[] = {
       LA_ALU_OPS(LA_LT_LABEL_REG)
       &&lab_execute, &&lab_bicc,
@@ -758,9 +770,9 @@ u64 LeonPipeline::run_lines(const RunWindow& w) {
     ++retired;                       \
     LA_LT_DISPATCH();                \
   }
-#define LA_LT_ALU_REG(name, kind, ...) \
+#define LA_LT_ALU_REG(name, mn, ...) \
   LA_LT_ALU(lab_##name, *rp[op->b], __VA_ARGS__)
-#define LA_LT_ALU_IMM(name, kind, ...) \
+#define LA_LT_ALU_IMM(name, mn, ...) \
   LA_LT_ALU(lab_##name##_i, op->imm, __VA_ARGS__)
 
   if (max_steps == 0 || st.error_mode || pc == halt_pc) goto out;

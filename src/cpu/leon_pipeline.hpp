@@ -14,9 +14,9 @@
 // tests/property/cpu_equivalence_test.cpp runs random programs through
 // both models and requires identical architectural state, which holds the
 // timed memory path, the line tier, and step/trap sequencing to the
-// reference.  The line tier's inline ALU bodies are the block engine's
-// (cpu/alu_ops.hpp), held to the core by the fast-vs-slow equivalence
-// grid and the pipe-run conformance leg.
+// reference.  The line tier's inline ALU bodies (cpu/alu_ops.hpp) are
+// held to the core by the fast-vs-slow equivalence grid and the pipe-run
+// conformance leg.
 #pragma once
 
 #include <vector>
@@ -40,6 +40,16 @@ struct PipelineConfig {
   /// Write buffer entries for the write-through store path; 0 makes every
   /// store wait for its bus write synchronously.
   unsigned write_buffer_depth = 1;
+
+  /// Host-performance switch (no effect on simulated cycles or state).
+  /// On, the pipeline takes its fast paths: the word-keyed decode cache
+  /// (never stale), the predecoded I-cache mirror, the cache-hit fast
+  /// paths and the line tier, and LiquidSystem its window-driven run loop
+  /// (docs/PERFORMANCE.md).  Off is the reference: isa::decode() on every
+  /// fetch and plain per-step loops.  The conformance legs, the
+  /// equivalence grids and the differential fuzzer run both settings
+  /// against each other.
+  bool host_fast_paths = true;
 };
 
 struct PipelineStats {
@@ -95,8 +105,10 @@ class LeonPipeline {
 
   void reset(Addr entry);
   StepResult step();
-  /// Hot-path form of step(): see IntegerUnit::step_into for the reuse
-  /// contract (early-out paths leave `res.ins` untouched).
+  /// Hot-path form of step(): writes the result into `res` instead of
+  /// materializing a fresh StepResult.  Every field the step produces is
+  /// overwritten, but the paths that end before a decode (error mode, the
+  /// wedge, interrupt and fetch traps) leave `res.ins` untouched.
   void step_into(StepResult& res);
   /// Step through one window (see RunWindow); returns the steps taken.
   /// Bit-identical to calling step() in a loop with the same checks.
@@ -238,7 +250,7 @@ class LeonPipeline {
   PipelineStats stats_;
 
   // --- host fast-path state (never affects simulated time/state) ------------
-  isa::DecodeCache predecode_;  // word-keyed; see CpuConfig::host_fast_paths
+  isa::DecodeCache predecode_;  // word-keyed; see host_fast_paths
   /// Per-I-cache-slot mirror of the resident line's decoded instructions,
   /// (re)built whenever a line is filled, and on the first hit of a line
   /// whose mirror is stale (restored from a snapshot).
@@ -273,11 +285,11 @@ class LeonPipeline {
   /// lifetime; the gen check governs whether its *contents* are current).
   const isa::Instruction* last_imirror_ = nullptr;
   const LineOp* last_iops_ = nullptr;  // same slot's line-tier tokens
-  /// Line-tier register maps (BlockEngine's scheme): rp_[r]/wp_[r] point
-  /// into the register file's backing store for window regmap_cwp_, %g0
-  /// redirected to a constant-zero source and a write sink.  Kept across
-  /// run() calls; sync_regmap() rebuilds them when CWP moved or the
-  /// storage was replaced (reset, load_state).
+  /// Line-tier register maps: rp_[r]/wp_[r] point into the register
+  /// file's backing store for window regmap_cwp_, %g0 redirected to a
+  /// constant-zero source and a write sink.  Kept across run() calls;
+  /// sync_regmap() rebuilds them when CWP moved or the storage was
+  /// replaced (reset, load_state).
   void sync_regmap() {
     if (st_.psr.cwp != regmap_cwp_ || st_.regs.data() != regmap_base_) {
       rebuild_regmap();
@@ -294,7 +306,7 @@ class LeonPipeline {
   u32 iline_words_ = 0;   // icache line_bytes / 4
   u32 iline_words_shift_ = 0;  // log2(iline_words_): mirror slot stride
   u32 dline_mask_ = 0;    // dcache line_bytes - 1
-  bool fast_ = false;     // cfg_.cpu.host_fast_paths (hoisted)
+  bool fast_ = false;     // cfg_.host_fast_paths (hoisted)
   bool hot_ifetch_ = false;  // fast_ && icache_enabled (hoisted)
 
   bool annul_next_ = false;

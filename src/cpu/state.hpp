@@ -76,7 +76,7 @@ class RegisterFile {
   /// Raw backing store (globals + all windows), for snapshot/restore.
   const std::vector<u32>& raw() const { return store_; }
   /// Mutable view of the backing store plus the slot computation, for the
-  /// block engine's branch-free per-window register maps (host perf only;
+  /// line tier's branch-free per-window register maps (host perf only;
   /// aliasing rules are RegisterFile's — %g0 must still be special-cased).
   u32* data() { return store_.data(); }
   std::size_t slot(unsigned cwp, u8 r) const { return index(cwp, r); }

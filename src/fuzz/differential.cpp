@@ -176,45 +176,6 @@ DiffOutcome DifferentialRunner::run_source(const std::string& source,
 
   const Addr cmp_end = std::min<Addr>(data + kDataBytes, img.end());
 
-  // ---- leg A': functional model through the block translation engine ----
-  // Leg A carries the coverage observer, which forces the per-step path;
-  // this leg reruns the identical config observerless so run() engages
-  // the block engine, and must match leg A bit-for-bit (state, memory,
-  // step and cycle counts).
-  if (opt_.pipeline.cpu.host_fast_paths) {
-    cpu::FlatMemory bflat(kMemSize, kMemBase);
-    bflat.load(img.base, img.data);
-    cpu::IntegerUnit biu(acfg, bflat);
-    biu.reset(img.entry);
-    const u64 bsteps = biu.run(budget, done);
-    const auto fail = [&out](std::string detail) {
-      out.diverged = true;
-      out.leg = "iu-block";
-      out.detail = std::move(detail);
-    };
-    if (bsteps != out.steps) {
-      fail("step counts: " + std::to_string(out.steps) + " vs " +
-           std::to_string(bsteps));
-      return out;
-    }
-    if (biu.cycle_count() != iu.cycle_count()) {
-      fail("cycles: " + std::to_string(iu.cycle_count()) + " vs " +
-           std::to_string(biu.cycle_count()));
-      return out;
-    }
-    if (std::string d = compare_full(a, biu.state()); !d.empty()) {
-      fail(std::move(d));
-      return out;
-    }
-    for (Addr addr = data; addr + 4 <= cmp_end; addr += 4) {
-      if (flat.word_at(addr) != bflat.word_at(addr)) {
-        fail("memory at data+" + std::to_string(addr - data) + ": " +
-             hex32(flat.word_at(addr)) + " vs " + hex32(bflat.word_at(addr)));
-        return out;
-      }
-    }
-  }
-
   // ---- leg B: timed pipeline on a bare bus ------------------------------
   Cycles clock = 0;
   mem::Sram sram(kMemBase, kMemSize);

@@ -1,6 +1,7 @@
 // Three-way differential execution of one generated program:
 //
-//   leg A  cpu::IntegerUnit    functional reference on flat memory
+//   leg A  cpu::IntegerUnit    functional reference on flat memory (its
+//                              one per-step path, coverage observer on)
 //   leg B  cpu::LeonPipeline   timed pipeline + caches on a bare AHB/SRAM
 //   leg C  sim::LiquidSystem   the full node, driven exactly like the
 //                              paper's control software: boot ROM, UDP

@@ -53,7 +53,7 @@ std::vector<cpu::PipelineConfig> Fuzzer::config_rotation() {
   // Host fast paths off (default geometry): every campaign continuously
   // cross-checks the perf layer against the plain decode/per-step code.
   cpu::PipelineConfig slow;
-  slow.cpu.host_fast_paths = false;
+  slow.host_fast_paths = false;
   cfgs.push_back(slow);
 
   return cfgs;
@@ -108,7 +108,7 @@ int Fuzzer::run() {
       for (std::size_t i = 0; i < corpus_.size(); ++i) {
         DiffOptions opt;
         opt.pipeline = config_rotation().front();
-        if (cfg_.disable_fast_paths) opt.pipeline.cpu.host_fast_paths = false;
+        if (cfg_.disable_fast_paths) opt.pipeline.host_fast_paths = false;
         opt.with_system = cfg_.with_system;
         opt.inject_subx_bug = cfg_.inject_subx_bug;
         DifferentialRunner runner(opt);
@@ -126,7 +126,7 @@ int Fuzzer::run() {
 
   std::vector<cpu::PipelineConfig> rotation = config_rotation();
   if (cfg_.disable_fast_paths) {
-    for (cpu::PipelineConfig& c : rotation) c.cpu.host_fast_paths = false;
+    for (cpu::PipelineConfig& c : rotation) c.host_fast_paths = false;
   }
   for (u64 iter = 0; iter < max_iters; ++iter) {
     if (timed) {

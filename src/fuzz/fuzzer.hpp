@@ -39,8 +39,8 @@ struct FuzzConfig {
   std::string out_dir = "lfuzz-out";
   /// Self-check fault injection (see DiffOptions::inject_subx_bug).
   bool inject_subx_bug = false;
-  /// Force every rotation entry to run with the host fast paths off
-  /// (decode cache, block engine, I-cache mirror and line tier, cache-hit
+  /// Force every rotation entry to run with the pipeline's host fast
+  /// paths off (decode cache, I-cache mirror and line tier, cache-hit
   /// probes, batched system run loop).  The default rotation already
   /// includes one fast-off configuration; this turns the whole campaign
   /// into a slow-path baseline for A/B runs.
@@ -84,7 +84,7 @@ class Fuzzer {
 
   /// The pipeline-configuration rotation every campaign cycles through
   /// (the equivalence property test's cache/window configurations, plus
-  /// host-fast-paths-off and block-engine-off entries).
+  /// a host-fast-paths-off entry).
   static std::vector<cpu::PipelineConfig> config_rotation();
 
  private:

@@ -68,16 +68,6 @@ unsigned access_size(Mnemonic m) {
   }
 }
 
-bool is_cti(Mnemonic m) {
-  switch (m) {
-    case Mnemonic::kCall: case Mnemonic::kBicc: case Mnemonic::kFbfcc:
-    case Mnemonic::kCbccc: case Mnemonic::kJmpl: case Mnemonic::kRett:
-      return true;
-    default:
-      return false;
-  }
-}
-
 std::string_view mnemonic_name(Mnemonic m) {
   switch (m) {
     case Mnemonic::kInvalid: return "<invalid>";

@@ -152,8 +152,6 @@ bool is_store(Mnemonic m);
 bool is_alternate_space(Mnemonic m);
 /// Number of bytes moved by a memory mnemonic (1, 2, 4, or 8).
 unsigned access_size(Mnemonic m);
-/// True for control-transfer instructions (have a delay slot).
-bool is_cti(Mnemonic m);
 /// Lower-case mnemonic text, e.g. "addcc".
 std::string_view mnemonic_name(Mnemonic m);
 /// Branch-condition suffix, e.g. "ne" for Cond::kNe ("b" + "ne" = "bne").

@@ -226,7 +226,7 @@ class LiquidSystem {
   /// The per-step path: fast paths off (the reference configuration), or
   /// anything armed that must see every step.
   bool slow_run_path() const {
-    return !cfg_.pipeline.cpu.host_fast_paths || step_hook_armed_ ||
+    return !cfg_.pipeline.host_fast_paths || step_hook_armed_ ||
            perf_ != nullptr || tracer_ != nullptr;
   }
 

@@ -137,7 +137,7 @@ cpu::PipelineConfig load_pipeline_config(SnapReader& r,
   p.icache_enabled = r.b();
   p.dcache_enabled = r.b();
   p.write_buffer_depth = r.u32v();
-  p.cpu.host_fast_paths = host.cpu.host_fast_paths;
+  p.host_fast_paths = host.host_fast_paths;
   return p;
 }
 

@@ -23,12 +23,17 @@ TestVector sample(isa::Mnemonic mn, const char* name) {
 
 TEST(Replay, LegNamesRoundTrip) {
   for (const Leg leg : kAllLegs) {
-    Leg back = Leg::kIuSlow;
+    Leg back = Leg::kIu;
     ASSERT_TRUE(leg_from_name(leg_name(leg), back)) << leg_name(leg);
     EXPECT_EQ(back, leg);
   }
   Leg l;
   EXPECT_FALSE(leg_from_name("warp-drive", l));
+  // The functional model's old fast-path legs are gone; scripts that
+  // still name them must fail loudly, not replay a subset.
+  for (const char* gone : {"iu-slow", "iu-fast", "iu-block"}) {
+    EXPECT_FALSE(leg_from_name(gone, l)) << gone;
+  }
 }
 
 TEST(Replay, GeneratedVectorPassesAllLegs) {
@@ -76,13 +81,11 @@ TEST(Replay, CyclesBindOnlyTheIntegerUnitLegs) {
   TestVector v = sample(isa::Mnemonic::kAddcc, "addcc/edge_carry");
   v.ref.cycles += 3;
   // The functional model's nominal timing is part of the contract ...
-  EXPECT_NE(replay_vector(v, Leg::kIuSlow).find("cycles"),
-            std::string::npos);
-  EXPECT_NE(replay_vector(v, Leg::kIuFast).find("cycles"),
-            std::string::npos);
+  EXPECT_NE(replay_vector(v, Leg::kIu).find("cycles"), std::string::npos);
   // ... the pipeline's cycles depend on caches/bus and are not checked.
   EXPECT_EQ(replay_vector(v, Leg::kPipeSlow), "");
   EXPECT_EQ(replay_vector(v, Leg::kPipeFast), "");
+  EXPECT_EQ(replay_vector(v, Leg::kPipeRun), "");
 }
 
 TEST(Replay, VectorConfigSelectsTheQuirkModel) {

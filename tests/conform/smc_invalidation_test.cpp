@@ -13,11 +13,6 @@
 //  * SMC corner: a store into the I-line being executed, with and
 //    without `flush`, across the predecode grid's cache geometries; the
 //    fast paths must match the slow model word for word.
-//
-//  * Block translation engine: stores into the executing block, into a
-//    chained successor block, and loader-style rewrites between run()
-//    calls must all invalidate the IntegerUnit's translations — the
-//    engine-on run has to match the per-step interpreter exactly.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -27,9 +22,6 @@
 #include "conform/generator.hpp"
 #include "conform/replay.hpp"
 #include "conform/vector.hpp"
-#include "cpu/block_engine.hpp"
-#include "cpu/flat_memory.hpp"
-#include "cpu/integer_unit.hpp"
 #include "cpu/leon_pipeline.hpp"
 #include "isa/encode.hpp"
 #include "mem/sram.hpp"
@@ -79,7 +71,8 @@ struct Rig {
 
 cpu::PipelineConfig pipe_cfg(const VecConfig& vc, bool fast) {
   cpu::PipelineConfig cfg;
-  cfg.cpu = vc.cpu_config(fast);
+  cfg.cpu = vc.cpu_config();
+  cfg.host_fast_paths = fast;
   return cfg;
 }
 
@@ -190,7 +183,7 @@ void run_smc(const cpu::PipelineConfig& base, bool with_flush,
   Rig slow(pipe_cfg(vc, false));
   for (Rig* r : {&fast, &slow}) {
     cpu::PipelineConfig cfg = base;  // same geometry, per-rig fast paths
-    cfg.cpu.host_fast_paths = r == &fast;
+    cfg.host_fast_paths = r == &fast;
     r->pipe = std::make_unique<cpu::LeonPipeline>(cfg, r->bus, &r->clock,
                                                   &all_cacheable);
     r->pipe->reset(kVecCodeBase);
@@ -231,152 +224,6 @@ TEST(SmcInvalidation, StoreIntoExecutingLineCacheOff) {
   nocache.write_buffer_depth = 0;
   run_smc(nocache, /*with_flush=*/false, 22);
   run_smc(nocache, /*with_flush=*/true, 22);
-}
-
-// --- the block translation engine's SMC/invalidation contract -----------
-
-/// One functional-model rig on flat memory, engine on or off.  run() is
-/// the only entry point that can engage the block engine, so everything
-/// here goes through it on both legs.
-struct IuRig {
-  cpu::FlatMemory mem{kVecMemSize, kVecMemBase};
-  std::unique_ptr<cpu::IntegerUnit> iu;
-
-  explicit IuRig(bool block) {
-    cpu::CpuConfig cfg;
-    cfg.host_fast_paths = block;
-    iu = std::make_unique<cpu::IntegerUnit>(cfg, mem);
-  }
-
-  void start(const ArchState& pre) {
-    iu->reset(pre.pc);
-    apply_state(pre, iu->state());
-  }
-};
-
-ArchState iu_pre(Addr entry) {
-  ArchState pre;
-  pre.pc = entry;
-  pre.npc = entry + 4;
-  cpu::Psr p;
-  p.s = true;
-  p.et = true;
-  pre.psr = p.pack();
-  pre.tbr = kVecTrapBase;
-  return pre;
-}
-
-void expect_iu_same(IuRig& block, IuRig& plain, const std::string& what) {
-  EXPECT_EQ(diff_states(capture_state(block.iu->state()),
-                        capture_state(plain.iu->state())),
-            "")
-      << what;
-  EXPECT_EQ(block.iu->cycle_count(), plain.iu->cycle_count()) << what;
-  EXPECT_EQ(block.iu->instret(), plain.iu->instret()) << what;
-}
-
-TEST(SmcInvalidation, BlockEngineStoreIntoOwnBlock) {
-  // One straight-line block whose first instruction patches its third:
-  //   st %g2, [%g1]   ; g1 = base+8, g2 = `add %g0,22,%g4`
-  //   nop
-  //   add %g0,11,%g4  ; stale translation would still retire 11
-  // Flat memory has no caches, so the per-step interpreter fetches the
-  // patched word; the engine must invalidate its own block to match.
-  const u32 old_insn = isa::encode_arith_ri(isa::Mnemonic::kAdd, 4, 0, 11);
-  const u32 new_insn = isa::encode_arith_ri(isa::Mnemonic::kAdd, 4, 0, 22);
-
-  ArchState pre = iu_pre(kVecCodeBase);
-  pre.regs[1] = kVecCodeBase + 8;
-  pre.regs[2] = new_insn;
-
-  IuRig block(true);
-  IuRig plain(false);
-  for (IuRig* r : {&block, &plain}) {
-    r->mem.write(kVecCodeBase,
-                 4, isa::encode_mem_ri(isa::Mnemonic::kSt, 2, 1, 0));
-    r->mem.write(kVecCodeBase + 4, 4, isa::encode_nop());
-    r->mem.write(kVecCodeBase + 8, 4, old_insn);
-    r->start(pre);
-    r->iu->run(3);
-    EXPECT_EQ(r->iu->state().reg(4), 22u)
-        << (r == &block ? "block" : "per-step");
-  }
-  expect_iu_same(block, plain, "smc-own-block");
-
-  ASSERT_NE(block.iu->block_engine(), nullptr);
-  EXPECT_GE(block.iu->block_engine()->invalidations(), 1u);
-}
-
-TEST(SmcInvalidation, BlockEngineStoreIntoChainedNextBlock) {
-  // Two blocks a translation page apart (the store must not invalidate
-  // the block it lives in, only its successor):
-  //   B (entry, base+0x400):  add %g0,11,%g4 ; ba A ; nop
-  //   A (base+0x00):          st %g2,[%g1]   ; ba B ; nop
-  // with g1 = B's first word and g2 = `add %g0,22,%g4`.  Visit order is
-  // B (translates stale 11), A (patches B -> invalidation), B again
-  // (retranslates, retires 22), A again (this time B->A chains).
-  const Addr a0 = kVecCodeBase;
-  const Addr b0 = kVecCodeBase + 0x400;
-  const u32 old_insn = isa::encode_arith_ri(isa::Mnemonic::kAdd, 4, 0, 11);
-  const u32 new_insn = isa::encode_arith_ri(isa::Mnemonic::kAdd, 4, 0, 22);
-
-  ArchState pre = iu_pre(b0);
-  pre.regs[1] = b0;
-  pre.regs[2] = new_insn;
-
-  IuRig block(true);
-  IuRig plain(false);
-  for (IuRig* r : {&block, &plain}) {
-    r->mem.write(a0, 4, isa::encode_mem_ri(isa::Mnemonic::kSt, 2, 1, 0));
-    r->mem.write(a0 + 4, 4,
-                 isa::encode_branch(isa::Cond::kA, false,
-                                    static_cast<i32>(b0 - (a0 + 4)) / 4));
-    r->mem.write(a0 + 8, 4, isa::encode_nop());
-    r->mem.write(b0, 4, old_insn);
-    r->mem.write(b0 + 4, 4,
-                 isa::encode_branch(isa::Cond::kA, false,
-                                    static_cast<i32>(a0 - (b0 + 4)) / 4));
-    r->mem.write(b0 + 8, 4, isa::encode_nop());
-    r->start(pre);
-    // 9 steps: add(11), ba, nop, st, ba, nop, add(22), ba, nop.
-    r->iu->run(9);
-    EXPECT_EQ(r->iu->state().reg(4), 22u)
-        << (r == &block ? "block" : "per-step");
-  }
-  expect_iu_same(block, plain, "smc-next-block");
-
-  ASSERT_NE(block.iu->block_engine(), nullptr);
-  EXPECT_GE(block.iu->block_engine()->invalidations(), 1u);
-  EXPECT_GE(block.iu->block_engine()->blocks_translated(), 3u);
-}
-
-TEST(SmcInvalidation, BlockEngineLoadBetweenRunsSeesNewProgram) {
-  // Loader-style rewrite between run() calls: the word the engine already
-  // translated is replaced behind the CPU's back (no store executes, so
-  // in-run invalidation never fires).  Translations must not outlive the
-  // run() call that made them.
-  const ArchState pre = iu_pre(kVecCodeBase);
-
-  IuRig block(true);
-  IuRig plain(false);
-  for (IuRig* r : {&block, &plain}) {
-    r->mem.write(kVecCodeBase, 4,
-                 isa::encode_arith_ri(isa::Mnemonic::kAdd, 4, 0, 11));
-    r->start(pre);
-    r->iu->run(1);
-    EXPECT_EQ(r->iu->state().reg(4), 11u);
-
-    r->mem.write(kVecCodeBase, 4,
-                 isa::encode_arith_ri(isa::Mnemonic::kAdd, 4, 0, 33));
-    r->start(pre);
-    r->iu->run(1);
-    EXPECT_EQ(r->iu->state().reg(4), 33u)
-        << (r == &block ? "block" : "per-step");
-  }
-  expect_iu_same(block, plain, "load-between-runs");
-
-  ASSERT_NE(block.iu->block_engine(), nullptr);
-  EXPECT_GE(block.iu->block_engine()->blocks_translated(), 2u);
 }
 
 }  // namespace

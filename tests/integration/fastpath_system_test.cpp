@@ -26,7 +26,7 @@ namespace {
 
 sim::SystemConfig config_for(bool fast) {
   sim::SystemConfig cfg;
-  cfg.pipeline.cpu.host_fast_paths = fast;
+  cfg.pipeline.host_fast_paths = fast;
   return cfg;
 }
 

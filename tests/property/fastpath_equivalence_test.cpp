@@ -2,9 +2,7 @@
 // program on the same rig must leave LeonPipeline with bit-identical
 // architectural state, statistics (cycles included), cache statistics,
 // full save_state bytes (LRU ticks, line data, write-buffer and annul
-// latches), and memory with `host_fast_paths` on vs off — and leave
-// IntegerUnit bit-identical across the slow / fast-stepped / block-engine
-// three-way grid.
+// latches), and memory with `host_fast_paths` on vs off.
 //
 // This is the direct fast-vs-slow sibling of cpu_equivalence_test (which
 // checks the pipeline against the functional reference model); programs
@@ -19,8 +17,6 @@
 
 #include "bus/ahb.hpp"
 #include "common/snapio.hpp"
-#include "cpu/flat_memory.hpp"
-#include "cpu/integer_unit.hpp"
 #include "cpu/leon_pipeline.hpp"
 #include "fuzz/differential.hpp"  // compare_full
 #include "fuzz/program_generator.hpp"
@@ -82,9 +78,9 @@ void check_seed(u64 seed, cpu::PipelineConfig base, int chunks) {
   const Addr done = img.symbol(fuzz::kDoneSymbol);
   const u64 budget = 4096 + 16u * (img.data.size() / 4);
 
-  base.cpu.host_fast_paths = true;
+  base.host_fast_paths = true;
   Leg fast(img, base);
-  base.cpu.host_fast_paths = false;
+  base.host_fast_paths = false;
   Leg slow(img, base);
 
   const u64 nf = fast.pipe->run(budget, done);
@@ -155,97 +151,10 @@ void check_seed(u64 seed, cpu::PipelineConfig base, int chunks) {
   }
 }
 
-// ---- IntegerUnit: slow / fast-stepped / block-engine three-way grid ----
-
-/// One functional-model leg on flat memory.  run() is the only entry point
-/// that can engage the block engine; the stepped leg runs the fast paths
-/// through step() instead, with run()'s stop conditions.
-struct IuLeg {
-  IuLeg(const sasm::Image& img, bool fast, bool stepped)
-      : mem(kMemSize, kMemBase), stepped(stepped) {
-    mem.load(img.base, img.data);
-    cpu::CpuConfig cfg;
-    cfg.host_fast_paths = fast;
-    iu = std::make_unique<cpu::IntegerUnit>(cfg, mem);
-    iu->reset(img.entry);
-  }
-
-  u64 run(u64 budget, Addr done) {
-    if (!stepped) return iu->run(budget, done);
-    u64 n = 0;
-    while (n < budget && !iu->state().error_mode && iu->state().pc != done) {
-      iu->step();
-      ++n;
-    }
-    return n;
-  }
-
-  cpu::FlatMemory mem;
-  bool stepped;
-  std::unique_ptr<cpu::IntegerUnit> iu;
-};
-
-void check_iu_seed(u64 seed, int chunks) {
-  fuzz::GenOptions opts;
-  opts.mode = fuzz::ProgramMode::kCore;
-  opts.instructions = chunks;
-  fuzz::ProgramGenerator gen(seed);
-  const fuzz::ProgramSpec spec = gen.generate(opts);
-
-  sasm::Assembler as;
-  sasm::AsmResult ar = as.assemble(spec.render());
-  ASSERT_TRUE(ar.ok) << "seed " << seed << ": " << ar.error_text();
-  const sasm::Image& img = ar.image;
-  const Addr done = img.symbol(fuzz::kDoneSymbol);
-  const u64 budget = 4096 + 16u * (img.data.size() / 4);
-
-  IuLeg slow(img, /*fast=*/false, /*stepped=*/false);
-  IuLeg fast(img, /*fast=*/true, /*stepped=*/true);
-  IuLeg block(img, /*fast=*/true, /*stepped=*/false);
-
-  const u64 ns = slow.run(budget, done);
-  const u64 nf = fast.run(budget, done);
-  const u64 nb = block.run(budget, done);
-
-  EXPECT_EQ(ns, nf) << "seed " << seed << ": slow/fast step counts differ";
-  EXPECT_EQ(ns, nb) << "seed " << seed << ": slow/block step counts differ";
-
-  const auto check_against_slow = [&](const char* which, const IuLeg& leg) {
-    const std::string d =
-        fuzz::compare_full(slow.iu->state(), leg.iu->state());
-    EXPECT_TRUE(d.empty()) << "seed " << seed << " slow/" << which
-                           << " state diverged: " << d << "\nprogram:\n"
-                           << spec.render();
-    EXPECT_EQ(slow.iu->cycle_count(), leg.iu->cycle_count())
-        << "seed " << seed << " slow/" << which << ": cycles differ";
-    EXPECT_EQ(slow.iu->instret(), leg.iu->instret())
-        << "seed " << seed << " slow/" << which << ": instret differs";
-    EXPECT_EQ(slow.iu->trap_count(), leg.iu->trap_count())
-        << "seed " << seed << " slow/" << which << ": trap counts differ";
-    // Memory: the whole image footprint, word by word.
-    for (Addr a = img.base; a + 4 <= img.end(); a += 4) {
-      ASSERT_EQ(slow.mem.word_at(a), leg.mem.word_at(a))
-          << "seed " << seed << " slow/" << which
-          << ": memory differs at 0x" << std::hex << a;
-    }
-  };
-  check_against_slow("fast", fast);
-  check_against_slow("block", block);
-}
-
 class FastPathEquivalence : public ::testing::TestWithParam<u64> {};
 
 TEST_P(FastPathEquivalence, DefaultConfig) {
   check_seed(GetParam(), cpu::PipelineConfig{}, 300);
-}
-
-TEST_P(FastPathEquivalence, IntegerUnitThreeWay) {
-  check_iu_seed(GetParam(), 300);
-}
-
-TEST_P(FastPathEquivalence, IntegerUnitThreeWayLong) {
-  // Longer programs exercise block chaining and re-translation harder.
-  check_iu_seed(GetParam() * 48271 + 5, 900);
 }
 
 TEST_P(FastPathEquivalence, TinyCaches) {

@@ -113,13 +113,13 @@ TEST(SystemSnapshot, WedgeFlagSurvivesRestore) {
 
 TEST(SystemSnapshot, CrossesHostFastPathConfigurations) {
   sim::SystemConfig fast;
-  fast.pipeline.cpu.host_fast_paths = true;
+  fast.pipeline.host_fast_paths = true;
   sim::LiquidSystem a(fast);
   mid_run_node(a);
   const sim::SystemSnapshot snap = a.snapshot();
 
   sim::SystemConfig slow;
-  slow.pipeline.cpu.host_fast_paths = false;
+  slow.pipeline.host_fast_paths = false;
   sim::LiquidSystem b(slow);
   std::string err;
   ASSERT_TRUE(b.restore(snap, &err)) << err;

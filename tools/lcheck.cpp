@@ -24,8 +24,8 @@
 //                                  fast_paths, positive median host_mips
 //                                  inside its sample min/max, >= 5
 //                                  samples, build type, commit and core
-//                                  count, and complete fast on/off
-//                                  pairings
+//                                  count, complete fast on/off pairings,
+//                                  and one integer_unit row, fast off
 //
 // Exit codes: 0 all checks pass, 1 a check failed, 2 usage/IO error.
 #include <cctype>
@@ -609,6 +609,10 @@ int check_bench_sim(const std::string& file, const std::string& text) {
     if (fast == nullptr || !fast->is(JsonValue::kBool)) {
       return complain(file, at + " lacks boolean 'fast_paths'");
     }
+    if (fast->boolean && model->string == "integer_unit") {
+      return complain(file, at + " integer_unit has no fast tier; "
+                                 "'fast_paths' must be false");
+    }
     for (const char* key : {"host_mips", "host_mips_min", "host_mips_max",
                             "cycles_per_sec", "secs", "nproc"}) {
       const JsonValue* v = row->get(key);
@@ -646,12 +650,15 @@ int check_bench_sim(const std::string& file, const std::string& text) {
     }
   }
 
-  // Pairing: every model measured on the ALU loop with the host fast
-  // paths both on and off, and the node likewise on the crc32 kernel.
-  // (The flight-recorder variant exists only as a fast-path overhead row.)
-  for (const char* m :
-       {"integer_unit/alu_loop", "leon_pipeline/alu_loop",
-        "liquid_system/alu_loop", "liquid_system/crc32"}) {
+  // Pairing: the pipeline and the node measured on the ALU loop with the
+  // host fast paths both on and off, and the node likewise on the crc32
+  // kernel; the functional model, which has no fast tier, once.  (The
+  // flight-recorder variant exists only as a fast-path overhead row.)
+  if (seen.count("integer_unit/alu_loop/slow") == 0) {
+    return complain(file, "missing integer_unit/alu_loop/slow row");
+  }
+  for (const char* m : {"leon_pipeline/alu_loop", "liquid_system/alu_loop",
+                        "liquid_system/crc32"}) {
     for (const char* leg : {"/slow", "/fast"}) {
       if (seen.count(std::string(m) + leg) == 0) {
         return complain(file, std::string("missing ") + m + leg + " row");

@@ -59,8 +59,8 @@ int usage() {
       "                    at the first\n"
       "  --inject-bug      enable the deliberate SUBX carry fault\n"
       "                    (fuzzer self-check; must end with exit 1)\n"
-      "  --no-fast-paths   force the host fast paths off everywhere\n"
-      "                    (decode cache, block engine, I-cache mirror and\n"
+      "  --no-fast-paths   force the pipeline's host fast paths off\n"
+      "                    everywhere (decode cache, I-cache mirror and\n"
       "                    line tier, batched run loop) for A/B comparison\n"
       "                    against a default campaign\n"
       "  --replay FILE     differentially execute one .s repro and exit\n"
@@ -174,7 +174,7 @@ int replay(const std::string& path, const fuzz::FuzzConfig& cfg,
   fuzz::DiffOptions opt;
   opt.with_system = cfg.with_system && system_mode;
   opt.inject_subx_bug = cfg.inject_subx_bug;
-  if (cfg.disable_fast_paths) opt.pipeline.cpu.host_fast_paths = false;
+  if (cfg.disable_fast_paths) opt.pipeline.host_fast_paths = false;
   fuzz::DifferentialRunner runner(opt);
   const fuzz::DiffOutcome out = runner.run_source(
       source,

@@ -12,9 +12,8 @@
 //       on any byte difference (drift gate)
 //   lvec replay (--dir DIR | --file F) [--leg L | --legs L1,L2,...]
 //               [--case NAME]
-//       run every vector on all six legs (or the named subset of
-//       iu-slow/iu-fast/iu-block/pipe-slow/pipe-fast/pipe-run), report
-//       divergences
+//       run every vector on all four legs (or the named subset of
+//       iu/pipe-slow/pipe-fast/pipe-run), report divergences
 //   lvec coverage --dir DIR
 //       fail unless every implemented mnemonic has a parseable file with
 //       at least one vector
@@ -48,8 +47,7 @@ int usage() {
       "       lvec verify --dir DIR\n"
       "       lvec replay (--dir DIR | --file F) [--leg L | --legs "
       "L1,L2,...] [--case NAME]\n"
-      "                   legs: iu-slow iu-fast iu-block pipe-slow "
-      "pipe-fast pipe-run\n"
+      "                   legs: iu pipe-slow pipe-fast pipe-run\n"
       "       lvec coverage --dir DIR\n"
       "       lvec diff FILE_A FILE_B\n");
   return 2;
@@ -225,7 +223,7 @@ int cmd_verify(const Options& o) {
 
 // ---- replay -------------------------------------------------------------
 
-// Resolve --leg / --legs into the leg set to run (all six by default).
+// Resolve --leg / --legs into the leg set to run (all four by default).
 int select_legs(const Options& o, std::vector<Leg>& out) {
   if (!o.leg.empty() && !o.legs.empty()) {
     std::fprintf(stderr, "lvec: --leg and --legs are mutually exclusive\n");
@@ -245,7 +243,7 @@ int select_legs(const Options& o, std::vector<Leg>& out) {
     return 0;
   }
   for (const std::string& name : names) {
-    Leg l = Leg::kIuSlow;
+    Leg l = Leg::kIu;
     if (!leg_from_name(name, l)) {
       std::fprintf(stderr, "lvec: unknown leg %s\n", name.c_str());
       return 2;
