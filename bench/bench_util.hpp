@@ -2,7 +2,7 @@
 // helpers for driving measured runs through the full remote-control flow,
 // and the machine-readable egress every bench exposes (--metrics-json,
 // --perf-trace) so a reproduced table always ships with the registry
-// snapshots it was printed from.
+// snapshots it was printed from and the spans of the runs behind it.
 #pragma once
 
 #include <cstdio>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/metrics.hpp"
+#include "common/span_log.hpp"
 #include "common/types.hpp"
 #include "sim/liquid_system.hpp"
 
@@ -70,8 +71,12 @@ inline constexpr u32 kPaperBound = 1000000;
 ///
 /// `--metrics-json` collects one metrics-registry snapshot per measured
 /// run (one table row) and writes them as one JSON document.
-/// `--perf-trace` records cycle-stamped spans on each attached node and
-/// writes a combined Chrome trace_event file (each run on its own track).
+/// `--perf-trace` attaches a job trace to each node, so the node logs its
+/// program.load / program.run / reconfigure / error / fault spans, closes
+/// each run with a root `job` span named by its label, and writes the log
+/// as one Chrome trace_event file (SpanLog::to_chrome_json): host µs on
+/// one timeline, each run on its own track (tid), node cycles in args.
+/// Tracing is passive — a traced run prints what an untraced one does.
 /// Construct at the top of main, attach_perf() each node before driving
 /// it, add_run() after each measurement, finish() before returning.
 class BenchIo {
@@ -106,9 +111,16 @@ class BenchIo {
   bool metrics_enabled() const { return !metrics_path_.empty(); }
   bool perf_enabled() const { return !trace_path_.empty(); }
 
-  /// Enable the node's perf tracer when --perf-trace was given.
-  void attach_perf(sim::LiquidSystem& node) const {
-    if (perf_enabled()) node.enable_perf_trace();
+  /// Start a traced run on `node` when --perf-trace was given: the node
+  /// logs its episodes on the run's own track until add_run().
+  void attach_perf(sim::LiquidSystem& node) {
+    if (!perf_enabled()) return;
+    trace::JobTrace jt;
+    jt.log = &log_;
+    jt.ctx = log_.mint();
+    jt.tid = ++tracks_;
+    node.set_job_trace(jt);
+    run_start_us_ = log_.now_us();
   }
 
   /// Record one measured run from an already-built snapshot — for rollups
@@ -117,15 +129,17 @@ class BenchIo {
     if (metrics_enabled()) runs_.emplace_back(label, std::move(snap));
   }
 
-  /// Record one measured run: snapshot the node's registry (and collect
-  /// its perf-trace events) under `label`.
+  /// Record one measured run: snapshot the node's registry under `label`
+  /// and close its traced run with a root `job` span.
   void add_run(const std::string& label, sim::LiquidSystem& node) {
     if (metrics_enabled()) {
       runs_.emplace_back(label, node.metrics_snapshot());
     }
-    if (perf_enabled() && node.perf_tracer() != nullptr) {
-      node.perf_tracer()->close_open_spans();
-      traces_.emplace_back(label, node.perf_tracer()->events());
+    const trace::JobTrace jt = node.job_trace();
+    if (jt.active()) {
+      log_.set_thread_name(jt.pid, jt.tid, label);
+      jt.root(run_start_us_, log_.now_us(), node.now(), label);
+      node.set_job_trace({});
     }
   }
 
@@ -133,7 +147,10 @@ class BenchIo {
   bool finish() {
     bool ok = true;
     if (metrics_enabled()) ok &= write_metrics();
-    if (perf_enabled()) ok &= write_trace();
+    if (perf_enabled()) {
+      log_.set_process_name(1, name_);
+      ok &= write_file(trace_path_, log_.to_chrome_json());
+    }
     return ok;
   }
 
@@ -165,50 +182,14 @@ class BenchIo {
     return write_file(metrics_path_, out);
   }
 
-  bool write_trace() {
-    // Each run renders as its own track (tid) on a shared timeline; the
-    // per-node clocks all start at 0, so tracks align at their origins.
-    std::string out = "{\"traceEvents\":[\n";
-    bool first = true;
-    for (std::size_t run = 0; run < traces_.size(); ++run) {
-      const int tid = static_cast<int>(run) + 1;
-      if (!first) out += ",\n";
-      first = false;
-      out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
-      out += std::to_string(tid);
-      out += ",\"args\":{\"name\":";
-      metrics::append_json_string(out, traces_[run].first);
-      out += "}}";
-      for (const auto& e : traces_[run].second) {
-        out += ",\n{\"name\":";
-        metrics::append_json_string(out, e.name);
-        out += ",\"cat\":\"liquid\",\"ph\":\"";
-        out += e.phase;
-        out += "\",\"ts\":";
-        metrics::append_json_number(out, static_cast<double>(e.ts));
-        out += ",\"pid\":1,\"tid\":";
-        out += std::to_string(tid);
-        if (e.phase == 'C') {
-          out += ",\"args\":{\"value\":";
-          metrics::append_json_number(out, e.value);
-          out += '}';
-        } else if (e.phase == 'i') {
-          out += ",\"s\":\"t\"";
-        }
-        out += '}';
-      }
-    }
-    out += "\n],\"displayTimeUnit\":\"ms\"}\n";
-    return write_file(trace_path_, out);
-  }
-
   std::string name_;
   std::string metrics_path_;
   std::string trace_path_;
   bool bad_args_ = false;
   std::vector<std::pair<std::string, metrics::Snapshot>> runs_;
-  std::vector<std::pair<std::string, std::vector<sim::PerfTracer::Event>>>
-      traces_;
+  trace::SpanLog log_;
+  u32 tracks_ = 0;
+  double run_start_us_ = 0;
 };
 
 }  // namespace la::bench

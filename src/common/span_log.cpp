@@ -1,8 +1,9 @@
 #include "common/span_log.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
+
+#include "common/stats.hpp"
 
 namespace la::trace {
 
@@ -84,6 +85,18 @@ void append_span_fields(std::string& out, const Span& s) {
   out += '"';
 }
 
+/// The simulated-time stamps of a span that ran on a node.
+void append_cycles(std::string& out, const Span& s) {
+  if (s.cycle_start != 0) {
+    out += ",\"cycle_start\":";
+    metrics::append_json_number(out, static_cast<double>(s.cycle_start));
+  }
+  if (s.cycle != 0) {
+    out += ",\"cycle\":";
+    metrics::append_json_number(out, static_cast<double>(s.cycle));
+  }
+}
+
 bool write_text(const std::string& path, const std::string& text) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
@@ -151,10 +164,7 @@ std::string SpanLog::to_chrome_json() const {
       out += ",\"note\":";
       metrics::append_json_string(out, s.note);
     }
-    if (s.cycle != 0) {
-      out += ",\"cycle\":";
-      metrics::append_json_number(out, static_cast<double>(s.cycle));
-    }
+    append_cycles(out, s);
     out += "}}";
   }
   out += "\n],\"displayTimeUnit\":\"ms\"}\n";
@@ -177,10 +187,7 @@ std::string SpanLog::to_jsonl() const {
     metrics::append_json_number(out, s.start_us);
     out += ",\"dur_us\":";
     metrics::append_json_number(out, s.dur_us);
-    if (s.cycle != 0) {
-      out += ",\"cycle\":";
-      metrics::append_json_number(out, static_cast<double>(s.cycle));
-    }
+    append_cycles(out, s);
     if (!s.note.empty()) {
       out += ",\"note\":";
       metrics::append_json_string(out, s.note);
@@ -207,34 +214,52 @@ void SpanLog::observe_phase_latencies(metrics::MetricsRegistry& reg,
     metrics::Histogram& h = reg.histogram(prefix + phase + "_us");
     for (const double d : durs) h.observe(d);
     std::sort(durs.begin(), durs.end());
-    const auto pct = [&](double q) {
-      std::size_t i =
-          static_cast<std::size_t>(std::ceil(q * static_cast<double>(durs.size())));
-      if (i > 0) --i;
-      if (i >= durs.size()) i = durs.size() - 1;
-      return durs[i];
-    };
-    reg.gauge(prefix + phase + ".p50_us").set(pct(0.50));
-    reg.gauge(prefix + phase + ".p95_us").set(pct(0.95));
-    reg.gauge(prefix + phase + ".p99_us").set(pct(0.99));
+    reg.gauge(prefix + phase + ".p50_us")
+        .set(nearest_rank_percentile(durs, 0.50));
+    reg.gauge(prefix + phase + ".p95_us")
+        .set(nearest_rank_percentile(durs, 0.95));
+    reg.gauge(prefix + phase + ".p99_us")
+        .set(nearest_rank_percentile(durs, 0.99));
   }
 }
 
-void JobTrace::phase(const std::string& name, double start_us, double end_us,
-                     u64 cycle, const std::string& note) const {
-  if (!active()) return;
+namespace {
+
+/// One span of `jt`'s job, identity left to the caller.
+Span job_span(const JobTrace& jt, const std::string& name, double start_us,
+              double end_us, u64 cycle_start, u64 cycle,
+              const std::string& note) {
   Span s;
-  s.trace_id = ctx.trace_id;
-  s.span_id = log->child(ctx).span_id;
-  s.parent_span_id = ctx.span_id;
+  s.trace_id = jt.ctx.trace_id;
   s.name = name;
   s.note = note;
-  s.pid = pid;
-  s.tid = tid;
+  s.pid = jt.pid;
+  s.tid = jt.tid;
   s.start_us = start_us;
   s.dur_us = end_us > start_us ? end_us - start_us : 0.0;
+  s.cycle_start = cycle_start;
   s.cycle = cycle;
-  log->add(s);
+  return s;
+}
+
+}  // namespace
+
+void JobTrace::phase(const std::string& name, double start_us, double end_us,
+                     u64 cycle_start, u64 cycle,
+                     const std::string& note) const {
+  if (!active()) return;
+  Span s = job_span(*this, name, start_us, end_us, cycle_start, cycle, note);
+  s.span_id = log->child(ctx).span_id;
+  s.parent_span_id = ctx.span_id;
+  log->add(std::move(s));
+}
+
+void JobTrace::root(double start_us, double end_us, u64 cycle,
+                    const std::string& note) const {
+  if (!active()) return;
+  Span s = job_span(*this, "job", start_us, end_us, 0, cycle, note);
+  s.span_id = ctx.span_id;
+  log->add(std::move(s));
 }
 
 }  // namespace la::trace

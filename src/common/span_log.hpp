@@ -1,20 +1,25 @@
-// Fleet-wide causal job tracing.
+// The tree's one tracer: host-time spans with optional node-cycle stamps.
 //
 // The paper observes one node: a hardware cycle counter (§5) and traces
 // streamed to the Trace Analyzer (Fig 1).  A farm of nodes needs the same
 // story *per job across machines*: a TraceContext (trace_id / span_id /
-// parent) is minted where a job enters the system (FarmScheduler::enqueue,
-// or LiquidClient::run_program for a lone node), carried through the
-// scheduler, over the control network (the SET_TRACE command), and into
-// every phase the job passes — queue wait, synthesis, FPGA reprogramming,
-// LOAD, the measured run, readback.  Each phase lands here as a Span.
+// parent) is minted where a job enters the system (LiquidFarm::submit,
+// a bench run, or LiquidClient::run_program for a lone node) and every
+// phase the job passes — queue wait, synthesis, FPGA reprogramming, LOAD,
+// the measured run, readback — lands here as a Span.  A lone node with a
+// JobTrace attached (LiquidSystem::set_job_trace) logs its own leon_ctrl
+// episodes the same way.  Tracing never talks to the node: a traced run
+// simulates exactly what an untraced one does.
 //
 // The log merges every node into one timeline: host microseconds since
 // the log's epoch (nodes run concurrently on worker threads, so the node
-// cycle counters are not comparable; the host clock is).  Exports:
-//   * Chrome trace_event JSON — one process lane per node (stable pid),
-//     one thread lane per worker (tid), named with metadata records, so
-//     an 8-node run opens in ui.perfetto.dev with distinct lanes;
+// cycle counters are not comparable; the host clock is).  A span that ran
+// on a node also carries the node cycles it covered, [cycle_start, cycle].
+// Exports:
+//   * Chrome trace_event JSON — complete ('X') events only, one process
+//     lane per node (stable pid), one thread lane per worker or bench run
+//     (tid), named with metadata ('M') records, so an 8-node run opens in
+//     ui.perfetto.dev with distinct lanes;
 //   * JSONL — one span object per line, the machine-readable stream;
 //   * per-phase duration histograms folded into a MetricsRegistry
 //     (farm.phase.*), which is how p50/p95/p99 reach the fleet report.
@@ -59,6 +64,7 @@ struct Span {
   u32 tid = 1;          // thread lane within the process
   double start_us = 0;  // host microseconds since the log's epoch
   double dur_us = 0;
+  u64 cycle_start = 0;  // node cycle at span start, when known
   u64 cycle = 0;        // node cycle at span end, when known
 };
 
@@ -117,9 +123,16 @@ struct JobTrace {
   u32 tid = 1;
 
   bool active() const { return log != nullptr && ctx.valid(); }
-  /// Emit one completed child phase of the job's root span.
+  /// Emit one completed child phase of the job's root span.  `cycle_start`
+  /// and `cycle` are the node clock at the phase's edges (0 = unknown).
   void phase(const std::string& name, double start_us, double end_us,
-             u64 cycle = 0, const std::string& note = "") const;
+             u64 cycle_start = 0, u64 cycle = 0,
+             const std::string& note = "") const;
+  /// Emit the job's root span itself ("job": span id ctx.span_id, no
+  /// parent), once, when the job is delivered; `cycle` is the node clock
+  /// then.
+  void root(double start_us, double end_us, u64 cycle,
+            const std::string& note) const;
   double now_us() const { return log ? log->now_us() : 0.0; }
 };
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -65,6 +66,18 @@ class OnlineStats {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
+
+/// Nearest-rank percentile of an already-sorted sample vector: the
+/// smallest sample with at least a fraction `q` of the set at or below it.
+/// 0 for an empty set.
+inline double nearest_rank_percentile(const std::vector<double>& sorted,
+                                      double q) {
+  if (sorted.empty()) return 0.0;
+  std::size_t i = static_cast<std::size_t>(
+      std::ceil(q * static_cast<double>(sorted.size())));
+  if (i > 0) --i;
+  return sorted[std::min(i, sorted.size() - 1)];
+}
 
 /// Ratio helper that reads as 0 when the denominator is 0.
 inline double safe_ratio(u64 num, u64 den) {

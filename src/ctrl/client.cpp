@@ -311,19 +311,6 @@ Result<std::string> LiquidClient::flight_dump() {
   return command_failure("flight_dump");
 }
 
-Status LiquidClient::set_trace(u64 trace_id, u64 span_id) {
-  begin_command();
-  for (unsigned attempt = 0; attempt <= cfg_.max_retries; ++attempt) {
-    if (attempt > 0) ++stats_.retries;
-    if (deadline_exhausted()) break;
-    send_command(net::SetTraceCmd{trace_id, span_id}.serialize());
-    if (await(net::ResponseCode::kTraceAck, rounds_for_attempt(attempt))) {
-      return Status{};
-    }
-  }
-  return command_failure("set_trace");
-}
-
 Status LiquidClient::restart() {
   begin_command();
   for (unsigned attempt = 0; attempt <= cfg_.max_retries; ++attempt) {
@@ -338,21 +325,18 @@ Status LiquidClient::restart() {
 }
 
 Status LiquidClient::run_program(const sasm::Image& img, u64 max_steps) {
-  // Propagate the causal context to the node first, so the leon_ctrl
-  // episodes of this load/run belong to the job's trace.  Best-effort:
-  // a lost ack must not fail the job itself.
-  if (job_trace_.active()) {
-    (void)set_trace(job_trace_.ctx.trace_id, job_trace_.ctx.span_id);
-  }
   const double load_t0 = job_trace_.now_us();
+  const Cycles load_c0 = node_.now();
   if (auto loaded = load_program(img); !loaded) return loaded;
-  job_trace_.phase("load", load_t0, job_trace_.now_us(), node_.now());
+  job_trace_.phase("load", load_t0, job_trace_.now_us(), load_c0,
+                   node_.now());
   if (auto started = start(img.entry); !started) return started;
   return await_done(max_steps);
 }
 
 Status LiquidClient::await_done(u64 max_steps) {
   const double run_t0 = job_trace_.now_us();
+  const Cycles run_c0 = node_.now();
   begin_command();  // the wait-for-completion phase is its own "command"
   u64 stepped = 0;
   while (stepped < max_steps) {
@@ -372,7 +356,8 @@ Status LiquidClient::await_done(u64 max_steps) {
     }
     const net::LeonState st = node_.controller().state();
     if (st == net::LeonState::kDone) {
-      job_trace_.phase("run", run_t0, job_trace_.now_us(), node_.now());
+      job_trace_.phase("run", run_t0, job_trace_.now_us(), run_c0,
+                       node_.now());
       return Status{};
     }
     if (st == net::LeonState::kError) {
@@ -382,13 +367,15 @@ Status LiquidClient::await_done(u64 max_steps) {
       e.detail = "await_done: node entered error state";
       ++stats_.gave_up;
       const double now = job_trace_.now_us();
-      job_trace_.phase("run", run_t0, now, node_.now());
-      job_trace_.phase("error", now, now, node_.now(), e.to_string());
+      job_trace_.phase("run", run_t0, now, run_c0, node_.now());
+      job_trace_.phase("error", now, now, node_.now(), node_.now(),
+                       e.to_string());
       return e;
     }
   }
   if (node_.controller().state() == net::LeonState::kDone) {
-    job_trace_.phase("run", run_t0, job_trace_.now_us(), node_.now());
+    job_trace_.phase("run", run_t0, job_trace_.now_us(), run_c0,
+                     node_.now());
     return Status{};
   }
   ClientError e;

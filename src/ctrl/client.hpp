@@ -147,14 +147,10 @@ class LiquidClient {
   /// dump.  Fails with node code 0x42 when the node has no recorder.
   Result<std::string> flight_dump();
 
-  /// Attach a causal trace context to the node (SET_TRACE command):
-  /// subsequent leon_ctrl episodes are attributed to this trace.
-  Status set_trace(u64 trace_id, u64 span_id);
-
   /// Causal tracing: spans for the phases this client drives (load, run,
-  /// error) are emitted into the given job trace; run_program() also
-  /// propagates the context to the node via SET_TRACE.  An inactive
-  /// JobTrace (default) keeps everything a no-op.
+  /// error) are emitted into the given job trace, stamped with host µs and
+  /// the node cycles each phase covered.  Nothing is sent to the node.  An
+  /// inactive JobTrace (default) keeps everything a no-op.
   void set_job_trace(trace::JobTrace jt) { job_trace_ = std::move(jt); }
   const trace::JobTrace& job_trace() const { return job_trace_; }
 

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
+
+#include "common/stats.hpp"
 
 namespace la::farm {
 
@@ -12,16 +13,6 @@ namespace {
 double seconds_between(std::chrono::steady_clock::time_point a,
                        std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
-}
-
-/// Nearest-rank percentile of an already-sorted sample vector.
-double percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double rank = q * static_cast<double>(sorted.size());
-  std::size_t i = static_cast<std::size_t>(std::ceil(rank));
-  if (i > 0) --i;
-  if (i >= sorted.size()) i = sorted.size() - 1;
-  return sorted[i];
 }
 
 }  // namespace
@@ -54,16 +45,10 @@ LiquidFarm::LiquidFarm(FarmConfig cfg)
         *w->node, cache_, syn_, server_cfg);
     if (cfg_.warm_start) w->server->set_warm_pool(&warm_pool_);
     w->current_key = w->server->current().key();
-    const u32 pid = static_cast<u32>(i) + 1;  // process lane: node i
-    const std::string node_name = "node " + std::to_string(i);
     if (cfg_.tracing) {
-      span_log_.set_process_name(pid, node_name);
+      const u32 pid = static_cast<u32>(i) + 1;  // process lane: node i
+      span_log_.set_process_name(pid, "node " + std::to_string(i));
       span_log_.set_thread_name(pid, 1, "worker " + std::to_string(i));
-    }
-    if (cfg_.perf_trace) {
-      sim::PerfTracer& pt = w->node->enable_perf_trace();
-      pt.set_lane(pid, 1);
-      pt.set_names(node_name, "worker " + std::to_string(i));
     }
     workers_.push_back(std::move(w));
   }
@@ -268,7 +253,7 @@ void LiquidFarm::worker_loop(Worker& w) {
       jt.phase("queue_wait", job.submitted_us, span_log_.now_us());
       if (!job.node_history.empty() && job.node_history.back() != w.index) {
         const double now = span_log_.now_us();
-        jt.phase("migrate", now, now, w.node->now(),
+        jt.phase("migrate", now, now, w.node->now(), w.node->now(),
                  "retry " + std::to_string(job.attempts) + " from node " +
                      std::to_string(job.node_history.back()));
       }
@@ -310,7 +295,7 @@ void LiquidFarm::worker_loop(Worker& w) {
                           static_cast<double>(1u << shift);
         if (jt.active()) {
           const double now = span_log_.now_us();
-          jt.phase("retry", now, now, w.node->now(),
+          jt.phase("retry", now, now, w.node->now(), w.node->now(),
                    "attempt " + std::to_string(job.attempts) +
                        " failed on node " + std::to_string(w.index) + ": " +
                        r.error);
@@ -326,19 +311,9 @@ void LiquidFarm::worker_loop(Worker& w) {
       if (jt.active()) {
         // The root span covers the whole journey, submission to final
         // delivery — one per job, not one per retried execution.
-        trace::Span root;
-        root.trace_id = job.trace.trace_id;
-        root.span_id = job.trace.span_id;
-        root.parent_span_id = 0;
-        root.name = "job";
-        root.note = job.owner + " " + job.config.key() +
-                    (r.ok ? "" : " FAILED: " + r.error);
-        root.pid = jt.pid;
-        root.tid = jt.tid;
-        root.start_us = job.submitted_us;
-        root.dur_us = span_log_.now_us() - job.submitted_us;
-        root.cycle = w.node->now();
-        span_log_.add(root);
+        jt.root(job.submitted_us, span_log_.now_us(), w.node->now(),
+                job.owner + " " + job.config.key() +
+                    (r.ok ? "" : " FAILED: " + r.error));
       }
       FarmJobOutcome out;
       out.id = job.id;
@@ -402,9 +377,9 @@ FarmReport LiquidFarm::report() {
   }
   std::vector<double> sorted = wall_samples_;
   std::sort(sorted.begin(), sorted.end());
-  rep.p50_wall_seconds = percentile(sorted, 0.50);
-  rep.p95_wall_seconds = percentile(sorted, 0.95);
-  rep.p99_wall_seconds = percentile(sorted, 0.99);
+  rep.p50_wall_seconds = nearest_rank_percentile(sorted, 0.50);
+  rep.p95_wall_seconds = nearest_rank_percentile(sorted, 0.95);
+  rep.p99_wall_seconds = nearest_rank_percentile(sorted, 0.99);
 
   // The shared bitfile store, bridged once at fleet level (per-node
   // bridging would multiply-count it in the merge).
@@ -457,19 +432,6 @@ FarmReport LiquidFarm::report() {
 
   rep.fleet = fleet.snapshot();
   return rep;
-}
-
-std::string LiquidFarm::merged_perf_trace() {
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_results_.wait(lk, [&] { return shutdown_ || fleet_idle_locked(); });
-  std::vector<std::string> traces;
-  traces.reserve(workers_.size());
-  for (const auto& w : workers_) {
-    if (sim::PerfTracer* pt = w->node->perf_tracer()) {
-      traces.push_back(pt->to_chrome_json());
-    }
-  }
-  return sim::merge_chrome_traces(traces);
 }
 
 std::string FarmReport::text() const {

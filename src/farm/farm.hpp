@@ -59,12 +59,10 @@ struct FarmConfig {
   /// every phase (queue-wait, synthesis, reconfigure, load, run, readback,
   /// error) lands in span_log() — one merged timeline, one process lane
   /// per node.  report() folds per-phase latency histograms into the
-  /// fleet registry as farm.phase.*.
+  /// fleet registry as farm.phase.*.  The spans come from the server and
+  /// client; the farm never attaches a job trace to its nodes, so none is
+  /// logged twice, and tracing changes no simulated cycle.
   bool tracing = false;
-  /// Give each node a perf tracer on its own pid/tid lane so
-  /// merged_perf_trace() yields one multi-process Chrome trace.  Forces
-  /// the nodes onto the per-step run path (observability is not free).
-  bool perf_trace = false;
   /// Self-healing: a job whose failure smells like a node fault
   /// (JobResult::node_fault — watchdog trip, silent node) is requeued at
   /// the head of the queue and retried — on any healthy node — up to this
@@ -203,17 +201,13 @@ class LiquidFarm {
   trace::SpanLog& span_log() { return span_log_; }
   const trace::SpanLog& span_log() const { return span_log_; }
 
-  /// Direct node access for pre-start setup (arming fault injectors,
-  /// flight recorders, perf tracers).  Only safe on an autostart=false
+  /// Direct node access for pre-start setup (arming fault injectors and
+  /// flight recorders).  Only safe on an autostart=false
   /// farm before start() — the workers hold at their gate and have not
   /// touched their nodes yet — or after drain() with no new submissions.
   sim::LiquidSystem& node_for_setup(std::size_t i) {
     return *workers_.at(i)->node;
   }
-
-  /// One Chrome trace merging every node's perf tracer (requires
-  /// FarmConfig::perf_trace); waits for the fleet to go idle first.
-  std::string merged_perf_trace();
 
  private:
   struct Worker {

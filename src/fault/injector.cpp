@@ -58,7 +58,10 @@ void FaultInjector::fire_matching(TriggerKind kind, u64 observed,
     sys_.metrics().counter("fault.injected").inc();
     sys_.metrics().counter("fault.site." + site).inc();
     if (!landed) sys_.metrics().counter("fault.missed").inc();
-    if (auto* perf = sys_.perf_tracer()) perf->instant("fault." + site);
+    if (const trace::JobTrace& jt = sys_.job_trace(); jt.active()) {
+      const double now = jt.now_us();
+      jt.phase("fault." + site, now, now, sys_.now(), sys_.now());
+    }
     if (auto* fr = sys_.flight_recorder()) {
       fr->record(sys_.now(), sim::FlightEventKind::kFaultFired,
                  static_cast<u64>(e.action.site), e.action.addr);

@@ -76,14 +76,12 @@ JobResult ReconfigurationServer::run_job(const ArchConfig& arch,
   JobResult r;
   r.config = arch;
   ++stats_.jobs;
-  const sim::PerfTracer::Span span(node_.perf_tracer(),
-                                   "job " + arch.key());
 
   if (!arch.valid()) {
     ++stats_.failures;
     r.error = "invalid architecture configuration";
     const double now = jt.now_us();
-    jt.phase("error", now, now, node_.now(), r.error);
+    jt.phase("error", now, now, node_.now(), node_.now(), r.error);
     return r;
   }
 
@@ -92,13 +90,13 @@ JobResult ReconfigurationServer::run_job(const ArchConfig& arch,
   const auto got = cache_.get_or_synthesize(arch, syn_);
   r.bitfile_cache_hit = got.hit;
   r.synthesis_seconds = got.seconds;
-  jt.phase("synthesis", syn_t0, jt.now_us(), node_.now(),
+  jt.phase("synthesis", syn_t0, jt.now_us(), node_.now(), node_.now(),
            got.hit ? "cache_hit" : "synthesized " + arch.key());
   if (!got.bitfile.has_value()) {
     ++stats_.failures;
     r.error = "configuration does not fit the device";
     const double now = jt.now_us();
-    jt.phase("error", now, now, node_.now(), r.error);
+    jt.phase("error", now, now, node_.now(), node_.now(), r.error);
     return r;
   }
   // Honest per-config latency: the node clocks at this image's fmax.
@@ -113,6 +111,7 @@ JobResult ReconfigurationServer::run_job(const ArchConfig& arch,
   //    this architecture.
   if (!(current_ == arch)) {
     const double cfg_t0 = jt.now_us();
+    const Cycles cfg_c0 = node_.now();
     const std::string boot_key = "boot|" + arch.key();
     bool warm_boot = false;
     if (warm_pool_ != nullptr) {
@@ -143,7 +142,7 @@ JobResult ReconfigurationServer::run_job(const ArchConfig& arch,
     stats_.reprogram_seconds += r.reprogram_seconds;
     ++stats_.reconfigurations;
     current_ = arch;
-    jt.phase("reconfigure", cfg_t0, jt.now_us(), node_.now(),
+    jt.phase("reconfigure", cfg_t0, jt.now_us(), cfg_c0, node_.now(),
              warm_boot ? arch.key() + " warm_start" : arch.key());
   }
 
@@ -179,10 +178,8 @@ JobResult ReconfigurationServer::run_job(const ArchConfig& arch,
     }
     const std::string prog_key =
         "prog|" + arch.key() + "|" + program_digest(program);
-    if (jt.active()) {
-      (void)client.set_trace(jt.ctx.trace_id, jt.ctx.span_id);
-    }
     const double load_t0 = jt.now_us();
+    const Cycles load_c0 = node_.now();
     bool warm_loaded = false;
     if (auto snap = warm_pool_->get(prog_key)) {
       const Cycles wall = node_.now();  // monotonic time, as above
@@ -192,17 +189,13 @@ JobResult ReconfigurationServer::run_job(const ArchConfig& arch,
     if (warm_loaded) {
       r.warm_start = true;
       ++stats_.warm_starts;
-      // The restored snapshot carries the capture job's trace binding;
-      // rebind to this job's context.
-      if (jt.active()) {
-        (void)client.set_trace(jt.ctx.trace_id, jt.ctx.span_id);
-      }
       node_.cpu().reset_stats();
-      jt.phase("load", load_t0, jt.now_us(), node_.now(), "warm_start");
+      jt.phase("load", load_t0, jt.now_us(), load_c0, node_.now(),
+               "warm_start");
     } else {
       node_.cpu().reset_stats();
       if (auto loaded = client.load_program(program); !loaded) return loaded;
-      jt.phase("load", load_t0, jt.now_us(), node_.now());
+      jt.phase("load", load_t0, jt.now_us(), load_c0, node_.now());
       // Same poison guard as the boot pool: a wedge that landed during
       // the load must not become every sibling's starting state.
       if (!node_.cpu().wedged()) {
@@ -234,17 +227,18 @@ JobResult ReconfigurationServer::run_job(const ArchConfig& arch,
   // 4. Read the results back.
   if (result_words > 0) {
     const double rb_t0 = jt.now_us();
+    const Cycles rb_c0 = node_.now();
     const auto mem = client.read_memory(result_addr, result_words);
     if (!mem) {
       ++stats_.failures;
       r.node_fault = true;
       r.error = "readback failed";
       const double now = jt.now_us();
-      jt.phase("error", now, now, node_.now(), r.error);
+      jt.phase("error", now, now, node_.now(), node_.now(), r.error);
       return r;
     }
     r.readback = *mem;
-    jt.phase("readback", rb_t0, jt.now_us(), node_.now());
+    jt.phase("readback", rb_t0, jt.now_us(), rb_c0, node_.now());
   }
   r.ok = true;
   return r;

@@ -28,7 +28,6 @@ enum class CommandCode : u8 {
   kReadMemory = 0x04,     // return memory contents
   kRestart = 0x05,        // reset the processor and control state machine
   kStatsSnapshot = 0x06,  // poll the node's metrics registry (extension)
-  kSetTrace = 0x07,       // attach a causal trace context (extension)
   kStatsStream = 0x08,    // metrics delta window; optional u32 window seq
                           // makes the poll idempotent under dup/reorder
   kFlightDump = 0x09,     // dump the node's flight recorder (extension)
@@ -40,7 +39,6 @@ enum class ResponseCode : u8 {
   kStarted = 0x83,
   kMemoryData = 0x84,
   kStatsData = 0x85,   // metrics snapshot as UTF-8 JSON
-  kTraceAck = 0x86,    // trace context accepted
   kStatsDelta = 0x87,  // metrics delta window as UTF-8 JSON
   kFlightData = 0x88,  // flight-recorder dump as UTF-8 JSON
   kError = 0xff,
@@ -61,7 +59,6 @@ inline constexpr u8 kReadRange = 0x32;        // read outside backing memory
 inline constexpr u8 kReadParity = 0x33;       // memory parity bad at address
 inline constexpr u8 kNoStats = 0x41;          // no metrics registry wired
 inline constexpr u8 kNoRecorder = 0x42;       // no flight recorder wired
-inline constexpr u8 kBadTrace = 0x43;         // malformed SET_TRACE packet
 inline constexpr u8 kBadStreamSeq = 0x44;     // malformed STATS_STREAM seq
 inline constexpr u8 kStaleStreamSeq = 0x45;   // seq older than cache window
 inline constexpr u8 kWatchdogTrip = 0x50;     // program exceeded cycle budget
@@ -142,33 +139,6 @@ struct ReadMemoryCmd {
     c.address = r.read_u32();
     c.words = r.read_u16();
     if (c.words == 0 || c.words > 256) return std::nullopt;
-    return c;
-  }
-};
-
-/// Attach a causal trace context to the node: subsequent leon_ctrl
-/// episodes (load, run, error) are attributed to this trace until it is
-/// replaced.  A zero trace_id clears the context.  64-bit ids travel as
-/// two big-endian u32 halves (the wire format predates 64-bit fields).
-struct SetTraceCmd {
-  u64 trace_id = 0;
-  u64 span_id = 0;
-
-  Bytes serialize() const {
-    ByteWriter w;
-    w.write_u8(static_cast<u8>(CommandCode::kSetTrace));
-    w.write_u32(static_cast<u32>(trace_id >> 32));
-    w.write_u32(static_cast<u32>(trace_id));
-    w.write_u32(static_cast<u32>(span_id >> 32));
-    w.write_u32(static_cast<u32>(span_id));
-    return w.take();
-  }
-
-  static std::optional<SetTraceCmd> parse(ByteReader& r) {
-    if (r.remaining() < 16) return std::nullopt;
-    SetTraceCmd c;
-    c.trace_id = (static_cast<u64>(r.read_u32()) << 32) | r.read_u32();
-    c.span_id = (static_cast<u64>(r.read_u32()) << 32) | r.read_u32();
     return c;
   }
 };

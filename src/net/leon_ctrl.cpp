@@ -88,9 +88,6 @@ void LeonController::handle(const UdpDatagram& d) {
     case CommandCode::kStatsSnapshot:
       handle_stats_snapshot();
       return;
-    case CommandCode::kSetTrace:
-      handle_set_trace(r);
-      return;
     case CommandCode::kStatsStream:
       handle_stats_stream(r);
       return;
@@ -236,19 +233,6 @@ void LeonController::handle_stats_snapshot() {
   respond(ResponseCode::kStatsData, stats_provider_());
 }
 
-void LeonController::handle_set_trace(ByteReader& r) {
-  const auto cmd = SetTraceCmd::parse(r);
-  if (!cmd) {
-    ++stats_.bad_commands;
-    respond_error(err::kBadTrace);
-    return;
-  }
-  trace_id_ = cmd->trace_id;
-  trace_span_id_ = cmd->span_id;
-  ++stats_.traces_attached;
-  respond(ResponseCode::kTraceAck);
-}
-
 void LeonController::handle_stats_stream(ByteReader& r) {
   if (!delta_provider_) {
     ++stats_.bad_commands;
@@ -373,8 +357,6 @@ void LeonController::save_state(SnapWriter& w) const {
   w.u16v(client_port_);
   w.u64v(static_cast<u64>(run_started_at_));
   w.u64v(static_cast<u64>(last_run_cycles_));
-  w.u64v(trace_id_);
-  w.u64v(trace_span_id_);
   w.u64v(stats_.commands);
   w.u64v(stats_.bad_commands);
   w.u64v(stats_.chunks_loaded);
@@ -383,7 +365,6 @@ void LeonController::save_state(SnapWriter& w) const {
   w.u64v(stats_.programs_completed);
   w.u64v(stats_.watchdog_trips);
   w.u64v(stats_.parity_read_errors);
-  w.u64v(stats_.traces_attached);
   w.u64v(stats_.stream_polls);
   w.u64v(stats_.stream_replays);
   w.u64v(stats_.flight_dumps);
@@ -407,8 +388,6 @@ bool LeonController::load_state(SnapReader& r) {
   client_port_ = r.u16v();
   run_started_at_ = static_cast<Cycles>(r.u64v());
   last_run_cycles_ = static_cast<Cycles>(r.u64v());
-  trace_id_ = r.u64v();
-  trace_span_id_ = r.u64v();
   stats_.commands = r.u64v();
   stats_.bad_commands = r.u64v();
   stats_.chunks_loaded = r.u64v();
@@ -417,7 +396,6 @@ bool LeonController::load_state(SnapReader& r) {
   stats_.programs_completed = r.u64v();
   stats_.watchdog_trips = r.u64v();
   stats_.parity_read_errors = r.u64v();
-  stats_.traces_attached = r.u64v();
   stats_.stream_polls = r.u64v();
   stats_.stream_replays = r.u64v();
   stats_.flight_dumps = r.u64v();

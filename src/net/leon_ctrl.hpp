@@ -163,11 +163,6 @@ class LeonController {
   using StateObserver = std::function<void(LeonState, LeonState)>;
   void set_state_observer(StateObserver o) { state_observer_ = std::move(o); }
 
-  /// Causal trace context attached by the SET_TRACE command (0 = none).
-  /// Episodes between Start and Done/Error belong to this trace.
-  u64 trace_id() const { return trace_id_; }
-  u64 trace_span_id() const { return trace_span_id_; }
-
   struct Stats {
     u64 commands = 0;
     u64 bad_commands = 0;
@@ -177,7 +172,6 @@ class LeonController {
     u64 programs_completed = 0;
     u64 watchdog_trips = 0;
     u64 parity_read_errors = 0;  // READ_MEMORY refused on bad parity
-    u64 traces_attached = 0;     // SET_TRACE commands accepted
     u64 stream_polls = 0;        // STATS_STREAM commands answered
     u64 stream_replays = 0;      // of which: cached windows re-served
     u64 flight_dumps = 0;        // FLIGHT_DUMP commands answered
@@ -185,9 +179,9 @@ class LeonController {
   const Stats& stats() const { return stats_; }
 
   /// Snapshot support: the full state machine — phase, load tracking,
-  /// requester address, run timing, trace binding, counters.  Callbacks and
-  /// providers stay with the restoring instance.  Restore sets state_
-  /// directly without notifying the state observer (a restore is not a
+  /// requester address, run timing, counters.  Callbacks and providers
+  /// stay with the restoring instance.  Restore sets state_ directly
+  /// without notifying the state observer (a restore is not a
   /// transition).
   void save_state(SnapWriter& w) const;
   bool load_state(SnapReader& r);
@@ -201,7 +195,6 @@ class LeonController {
   void handle_read(ByteReader& r);
   void handle_restart();
   void handle_stats_snapshot();
-  void handle_set_trace(ByteReader& r);
   void handle_stats_stream(ByteReader& r);
   void handle_flight_dump();
   /// The one place state_ changes: notifies the state observer.
@@ -233,8 +226,6 @@ class LeonController {
   DeltaProvider delta_provider_;
   FlightProvider flight_provider_;
   StateObserver state_observer_;
-  u64 trace_id_ = 0;
-  u64 trace_span_id_ = 0;
   Stats stats_;
 };
 

@@ -294,7 +294,6 @@ void LiquidSystem::ingress_frame(std::span<const u8> frame) {
     while (auto resp = pktgen_->pop()) {
       egress_.push_back(wrappers_.egress_frame(*resp));
     }
-    observe_ctrl_state();
   }
   if (ingress_hook_) ingress_hook_();
 }
@@ -325,7 +324,6 @@ cpu::StepResult LiquidSystem::step() {
   while (auto resp = pktgen_->pop()) {
     egress_.push_back(wrappers_.egress_frame(*resp));
   }
-  if (perf_) observe_ctrl_state();
   return r;
 }
 
@@ -426,7 +424,7 @@ bool LiquidSystem::run_until(net::LeonState state, u64 max_steps) {
 }
 
 void LiquidSystem::reconfigure(const cpu::PipelineConfig& pcfg) {
-  if (perf_) perf_->begin("reconfigure");
+  const double t0 = job_trace_.now_us();
   metrics_.counter("sim.reconfigurations").inc();
   cfg_.pipeline = pcfg;
   pipe_ = std::make_unique<cpu::LeonPipeline>(pcfg, bus_, &clock_,
@@ -434,7 +432,7 @@ void LiquidSystem::reconfigure(const cpu::PipelineConfig& pcfg) {
   pipe_->reset(map::kRomBase);
   // An active trace stream survives the new image.
   if (tracer_) pipe_->set_observer(tracer_.get());
-  if (perf_) perf_->end("reconfigure");
+  job_trace_.phase("reconfigure", t0, job_trace_.now_us(), clock_, clock_);
 }
 
 void LiquidSystem::reset_cpu() {
@@ -469,14 +467,6 @@ void LiquidSystem::disable_trace_stream() {
   }
 }
 
-PerfTracer& LiquidSystem::enable_perf_trace() {
-  if (!perf_) {
-    perf_ = std::make_unique<PerfTracer>(&clock_);
-    traced_ctrl_state_ = ctrl_->state();
-  }
-  return *perf_;
-}
-
 FlightRecorder& LiquidSystem::enable_flight_recorder() {
   if (!flight_) {
     flight_ = std::make_unique<FlightRecorder>(cfg_.flight_capacity,
@@ -496,6 +486,25 @@ std::string LiquidSystem::take_flight_dump(const std::string& reason) const {
 
 void LiquidSystem::on_ctrl_transition(net::LeonState prev,
                                       net::LeonState next) {
+  if (job_trace_.active()) {
+    // Span edges follow the leon_ctrl state machine: LOADING brackets the
+    // user-port program download, RUNNING the measured execution window
+    // (Start -> return to the polling loop, the §5 measurement), so the
+    // run span covers exactly last_run_cycles().
+    const double now = job_trace_.now_us();
+    if (prev == net::LeonState::kLoading || prev == net::LeonState::kRunning) {
+      job_trace_.phase(prev == net::LeonState::kLoading ? "program.load"
+                                                        : "program.run",
+                       episode_us_, now, episode_cycle_, clock_);
+    }
+    if (next == net::LeonState::kLoading || next == net::LeonState::kRunning) {
+      episode_us_ = now;
+      episode_cycle_ = clock_;
+    }
+    if (next == net::LeonState::kError) {
+      job_trace_.phase("leon_ctrl.error", now, now, clock_, clock_);
+    }
+  }
   if (!flight_) return;
   flight_->record(clock_, FlightEventKind::kCtrlState,
                   static_cast<u64>(prev), static_cast<u64>(next));
@@ -524,32 +533,6 @@ void LiquidSystem::sync_watchdog() {
     wdog_.disarm();
   }
   wdog_state_ = s;
-}
-
-void LiquidSystem::observe_ctrl_state() {
-  if (!perf_) return;
-  const net::LeonState s = ctrl_->state();
-  if (s == traced_ctrl_state_) return;
-  // Span edges follow the leon_ctrl state machine: LOADING brackets the
-  // user-port program download, RUNNING brackets the measured execution
-  // window (Start -> return to the polling loop, the §4 measurement).
-  if (traced_ctrl_state_ == net::LeonState::kLoading) {
-    perf_->end("program.load");
-  }
-  if (traced_ctrl_state_ == net::LeonState::kRunning) {
-    perf_->end("program.run");
-    // Sample the registry at the run boundary: each measured window gets
-    // a counter row on the timeline.
-    perf_->sample(metrics_snapshot(), "cpu.");
-    perf_->sample(metrics_snapshot(), "cache.");
-  }
-  switch (s) {
-    case net::LeonState::kLoading: perf_->begin("program.load"); break;
-    case net::LeonState::kRunning: perf_->begin("program.run"); break;
-    case net::LeonState::kError: perf_->instant("leon_ctrl.error"); break;
-    default: break;
-  }
-  traced_ctrl_state_ = s;
 }
 
 }  // namespace la::sim

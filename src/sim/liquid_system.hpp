@@ -3,6 +3,12 @@
 // FPX controller/adapter, APB peripherals, layered protocol wrappers,
 // control packet processor, leon_ctrl, and packet generator — one clocked
 // system with a network ingress/egress on the outside.
+//
+// Observation never steers the simulation: the metrics registry is read on
+// demand, the flight recorder samples on the window loop's own cadence,
+// and an attached job trace (set_job_trace) logs the leon_ctrl episodes
+// from the state observer, so a traced node runs exactly the untraced
+// cycles.
 #pragma once
 
 #include <memory>
@@ -12,6 +18,7 @@
 #include "bus/peripherals.hpp"
 #include "bus/watchdog.hpp"
 #include "common/metrics.hpp"
+#include "common/span_log.hpp"
 #include "cpu/leon_pipeline.hpp"
 #include "mem/ahb_sdram_adapter.hpp"
 #include "mem/boot_rom.hpp"
@@ -24,7 +31,6 @@
 #include "net/trace_stream.hpp"
 #include "net/wrappers.hpp"
 #include "sim/flight_recorder.hpp"
-#include "sim/perf_trace.hpp"
 
 namespace la::sim {
 
@@ -139,18 +145,19 @@ class LiquidSystem {
     return metrics_.snapshot(clock_);
   }
 
-  /// Attach a cycle-stamped perf tracer.  The system records spans for
-  /// reconfigurations and leon_ctrl episodes (program.load, program.run)
-  /// and samples key counters at run boundaries; callers add their own
-  /// spans via the returned tracer.  Idempotent.
-  PerfTracer& enable_perf_trace();
-  PerfTracer* perf_tracer() { return perf_.get(); }
+  /// Log this node's episodes as spans of `jt`'s job: program.load and
+  /// program.run (the leon_ctrl Loading and Running states, stamped with
+  /// host µs and the node cycles they cover), reconfigure, a zero-length
+  /// leon_ctrl.error, and fault.<site> for injected faults.  An inactive
+  /// JobTrace detaches.  Passive: the run path does not change.
+  void set_job_trace(trace::JobTrace jt) { job_trace_ = jt; }
+  const trace::JobTrace& job_trace() const { return job_trace_; }
 
   /// Arm the black-box flight recorder: every Nth step's PC, leon_ctrl
   /// transitions, watchdog trips, injected-fault firings land in a fixed
-  /// ring.  Unlike the perf tracer it does NOT force the per-step run
-  /// path — the sample cadence bounds the run loop's windows, and each
-  /// event is a few stores, so it can stay on in production.  Idempotent.
+  /// ring.  It does NOT force the per-step run path — the sample cadence
+  /// bounds the run loop's windows, and each event is a few stores, so it
+  /// can stay on in production.  Idempotent.
   FlightRecorder& enable_flight_recorder();
   FlightRecorder* flight_recorder() { return flight_.get(); }
 
@@ -205,10 +212,9 @@ class LiquidSystem {
  private:
   /// Bridge every component's counters into the registry (constructor).
   void register_metrics();
-  /// Emit perf-trace spans when the leon_ctrl state machine moves.
-  void observe_ctrl_state();
-  /// leon_ctrl state observer: record the transition in the flight
-  /// recorder and auto-dump on entry to kError (§4.1 post-mortem).
+  /// leon_ctrl state observer: log the episode spans of an attached job
+  /// trace, record the transition in the flight recorder, and auto-dump on
+  /// entry to kError (§4.1 post-mortem).
   void on_ctrl_transition(net::LeonState prev, net::LeonState next);
   /// Arm/disarm the watchdog as the leon_ctrl state machine moves (called
   /// from both step() and ingress_frame() — Start arrives on the network
@@ -227,7 +233,7 @@ class LiquidSystem {
   /// anything armed that must see every step.
   bool slow_run_path() const {
     return !cfg_.pipeline.host_fast_paths || step_hook_armed_ ||
-           perf_ != nullptr || tracer_ != nullptr;
+           tracer_ != nullptr;
   }
 
   SystemConfig cfg_;
@@ -259,7 +265,11 @@ class LiquidSystem {
   std::deque<Bytes> egress_;
 
   metrics::MetricsRegistry metrics_;
-  std::unique_ptr<PerfTracer> perf_;
+  trace::JobTrace job_trace_;
+  /// Host µs and node cycle at which the current Loading or Running
+  /// episode began (the start of its span).
+  double episode_us_ = 0;
+  Cycles episode_cycle_ = 0;
   std::unique_ptr<FlightRecorder> flight_;
   std::string last_flight_dump_;
   /// Watchdog-trip count already attributed to a recorded kWatchdog event
@@ -267,7 +277,6 @@ class LiquidSystem {
   u64 seen_wdog_trips_ = 0;
   /// Previous-window snapshot for the STATS_STREAM delta provider.
   metrics::Snapshot stream_prev_;
-  net::LeonState traced_ctrl_state_ = net::LeonState::kIdle;
   net::LeonState wdog_state_ = net::LeonState::kIdle;
   StepHook step_hook_;
   bool step_hook_armed_ = false;

@@ -324,6 +324,10 @@ bool LiquidSystem::restore(const SystemSnapshot& snap, std::string* err) {
   }
   // Any precomputed batch boundary is stale now.
   periph_dirty_ = false;
+  // A restore is not a leon_ctrl transition: an episode the snapshot was
+  // taken inside continues, and its span starts here.
+  episode_us_ = job_trace_.now_us();
+  episode_cycle_ = clock_;
   return true;
 }
 

@@ -48,7 +48,7 @@ namespace la::sim {
 
 struct SystemSnapshot {
   static constexpr u32 kMagic = snap_tag("LASN");
-  static constexpr u32 kVersion = 2;
+  static constexpr u32 kVersion = 3;
 
   /// Every section in capture order; the SRAM and SDRAM sections name
   /// their resident pages by index into `pages`.

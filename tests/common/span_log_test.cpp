@@ -63,7 +63,7 @@ TEST(JobTrace, PhaseEmitsAChildSpanOfTheJobRoot) {
   jt.ctx = log.mint();
   jt.pid = 3;
   jt.tid = 2;
-  jt.phase("run", 10.0, 25.5, 42, "cfg-a");
+  jt.phase("run", 10.0, 25.5, 40, 42, "cfg-a");
   const auto spans = log.spans();
   ASSERT_EQ(spans.size(), 1u);
   const Span& s = spans[0];
@@ -76,6 +76,7 @@ TEST(JobTrace, PhaseEmitsAChildSpanOfTheJobRoot) {
   EXPECT_EQ(s.tid, 2u);
   EXPECT_DOUBLE_EQ(s.start_us, 10.0);
   EXPECT_DOUBLE_EQ(s.dur_us, 15.5);
+  EXPECT_EQ(s.cycle_start, 40u);
   EXPECT_EQ(s.cycle, 42u);
 }
 
@@ -103,6 +104,8 @@ TEST(SpanLog, ChromeExportCarriesLaneMetadataAndCompleteEvents) {
   s.tid = 1;
   s.start_us = 5.0;
   s.dur_us = 7.0;
+  s.cycle_start = 100;
+  s.cycle = 250;
   log.add(s);
 
   const std::string j = log.to_chrome_json();
@@ -115,6 +118,10 @@ TEST(SpanLog, ChromeExportCarriesLaneMetadataAndCompleteEvents) {
   // The span rides on its node's lane with its trace identity in args.
   EXPECT_NE(j.find("\"pid\":2"), std::string::npos);
   EXPECT_NE(j.find("000000000000abcd"), std::string::npos);
+  // Simulated time rides in args; ts stays host microseconds.
+  EXPECT_NE(j.find("\"ts\":5,"), std::string::npos);
+  EXPECT_NE(j.find("\"cycle_start\":100,\"cycle\":250}"),
+            std::string::npos);
 }
 
 TEST(SpanLog, JsonlEmitsOneObjectPerSpanInAppendOrder) {
@@ -124,6 +131,8 @@ TEST(SpanLog, JsonlEmitsOneObjectPerSpanInAppendOrder) {
     s.trace_id = 7;
     s.span_id = static_cast<u64>(i + 1);
     s.name = i == 0 ? "first" : "second";
+    s.cycle_start = i == 0 ? 0 : 30;  // 0 = unknown: omitted
+    s.cycle = 60;
     log.add(s);
   }
   const std::string j = log.to_jsonl();
@@ -134,6 +143,8 @@ TEST(SpanLog, JsonlEmitsOneObjectPerSpanInAppendOrder) {
   EXPECT_EQ(lines, 2u);
   EXPECT_EQ(j.find("{\"trace_id\":\""), 0u);
   EXPECT_LT(j.find("\"first\""), j.find("\"second\""));
+  EXPECT_EQ(j.find("\"cycle_start\""), j.rfind("\"cycle_start\":30,"));
+  EXPECT_LT(j.find("\"second\""), j.find("\"cycle_start\":30,\"cycle\":60"));
 }
 
 TEST(SpanLog, ObservePhaseLatenciesFoldsHistogramsAndPercentiles) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/stats.hpp"
 
@@ -144,6 +145,17 @@ TEST(OnlineStats, SingleInfiniteObservationIsNotConfusedWithEmpty) {
 TEST(SafeRatio, ZeroDenominatorReadsAsZero) {
   EXPECT_EQ(safe_ratio(5, 0), 0.0);
   EXPECT_DOUBLE_EQ(safe_ratio(3, 4), 0.75);
+}
+
+TEST(NearestRankPercentile, PicksTheSmallestSampleCoveringQ) {
+  EXPECT_EQ(nearest_rank_percentile({}, 0.5), 0.0);
+  const std::vector<double> v = {1.0, 2.0, 3.0, 4.0};
+  EXPECT_DOUBLE_EQ(nearest_rank_percentile(v, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(nearest_rank_percentile(v, 0.25), 1.0);
+  EXPECT_DOUBLE_EQ(nearest_rank_percentile(v, 0.5), 2.0);
+  EXPECT_DOUBLE_EQ(nearest_rank_percentile(v, 0.51), 3.0);
+  EXPECT_DOUBLE_EQ(nearest_rank_percentile(v, 0.99), 4.0);
+  EXPECT_DOUBLE_EQ(nearest_rank_percentile(v, 1.0), 4.0);
 }
 
 }  // namespace

@@ -218,10 +218,15 @@ TEST_F(CtrlFixture, RestartResetsEverything) {
 }
 
 TEST_F(CtrlFixture, UnknownCommandGetsError) {
-  ctrl.handle(cmd(Bytes{0x77}));
-  const auto [code, body] = response();
-  EXPECT_EQ(code, static_cast<u8>(ResponseCode::kError));
-  EXPECT_EQ(ctrl.stats().bad_commands, 1u);
+  // 0x07 was SET_TRACE, which the node no longer implements.
+  u64 bad = 0;
+  for (const u8 opcode : {u8{0x77}, u8{0x07}}) {
+    ctrl.handle(cmd(Bytes{opcode}));
+    const auto [code, body] = response();
+    EXPECT_EQ(code, static_cast<u8>(ResponseCode::kError));
+    EXPECT_EQ(body.at(0), err::kUnknownCommand);
+    EXPECT_EQ(ctrl.stats().bad_commands, ++bad);
+  }
 }
 
 TEST_F(CtrlFixture, EmptyPayloadGetsError) {
@@ -266,42 +271,6 @@ TEST_F(CtrlFixture, StatsSnapshotReturnsProviderPayload) {
   EXPECT_EQ(code, static_cast<u8>(ResponseCode::kStatsData));
   EXPECT_EQ(body, (Bytes{'{', '}'}));
   EXPECT_EQ(ctrl.stats().bad_commands, 0u);
-}
-
-TEST(Commands, SetTraceRoundTripsBothIds) {
-  SetTraceCmd c;
-  c.trace_id = 0x1122334455667788ull;
-  c.span_id = 0x99aabbccddeeff00ull;
-  const Bytes wire = c.serialize();
-  ASSERT_EQ(wire.size(), 17u);  // opcode + 4 big-endian u32 halves
-  EXPECT_EQ(wire[0], static_cast<u8>(CommandCode::kSetTrace));
-  ByteReader r(wire);
-  r.read_u8();  // opcode, consumed by the dispatcher in real life
-  const auto parsed = SetTraceCmd::parse(r);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->trace_id, c.trace_id);
-  EXPECT_EQ(parsed->span_id, c.span_id);
-}
-
-TEST_F(CtrlFixture, SetTraceStoresContextAndAcks) {
-  SetTraceCmd c;
-  c.trace_id = 0xdeadbeefcafef00dull;
-  c.span_id = 0x42;
-  ctrl.handle(cmd(c.serialize()));
-  const auto [code, body] = response();
-  EXPECT_EQ(code, static_cast<u8>(ResponseCode::kTraceAck));
-  EXPECT_EQ(ctrl.trace_id(), 0xdeadbeefcafef00dull);
-  EXPECT_EQ(ctrl.trace_span_id(), 0x42u);
-}
-
-TEST_F(CtrlFixture, TruncatedSetTraceIsBadTrace) {
-  Bytes wire = SetTraceCmd{}.serialize();
-  wire.resize(9);  // half the ids missing
-  ctrl.handle(cmd(wire));
-  const auto [code, body] = response();
-  EXPECT_EQ(code, static_cast<u8>(ResponseCode::kError));
-  EXPECT_EQ(body.at(0), err::kBadTrace);
-  EXPECT_EQ(ctrl.trace_id(), 0u);  // nothing half-applied
 }
 
 TEST_F(CtrlFixture, StatsStreamWithoutProviderIsAnError) {

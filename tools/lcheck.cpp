@@ -5,9 +5,14 @@
 // recursive-descent JSON parser plus one checker per artifact kind:
 //
 //   lcheck --json FILE             well-formed JSON document
-//   lcheck --chrome-trace FILE     Chrome trace_event file: traceEvents
-//                                  array, every event has ph/pid/tid, 'X'
-//                                  events carry name/ts/dur
+//   lcheck --chrome-trace FILE     Chrome trace_event file in the one
+//                                  shape SpanLog::to_chrome_json writes:
+//                                  traceEvents array, every event has
+//                                  pid/tid and ph 'X' (span) or 'M'
+//                                  (lane name); 'X' events carry
+//                                  name/ts/dur and args.trace_id, and
+//                                  args.cycle_start <= args.cycle when
+//                                  both are present
 //   lcheck --min-pids N            with --chrome-trace: at least N distinct
 //                                  pids (an N-node merged trace has one
 //                                  process lane per node)
@@ -347,15 +352,32 @@ int check_chrome_trace(const std::string& file, const std::string& text,
       return complain(file, at + " has no numeric pid/tid");
     }
     pids.insert(pid->number);
-    if (ph->string == "X") {
-      const JsonValue* name = ev->get("name");
-      const JsonValue* ts = ev->get("ts");
-      const JsonValue* dur = ev->get("dur");
-      if (name == nullptr || !name->is(JsonValue::kString) || ts == nullptr ||
-          !ts->is(JsonValue::kNumber) || dur == nullptr ||
-          !dur->is(JsonValue::kNumber)) {
-        return complain(file, at + " ('X') lacks name/ts/dur");
-      }
+    if (ph->string == "M") continue;
+    if (ph->string != "X") {
+      return complain(file, at + " has ph '" + ph->string +
+                                "' (only 'X' spans and 'M' lane names)");
+    }
+    const JsonValue* name = ev->get("name");
+    const JsonValue* ts = ev->get("ts");
+    const JsonValue* dur = ev->get("dur");
+    if (name == nullptr || !name->is(JsonValue::kString) || ts == nullptr ||
+        !ts->is(JsonValue::kNumber) || dur == nullptr ||
+        !dur->is(JsonValue::kNumber)) {
+      return complain(file, at + " ('X') lacks name/ts/dur");
+    }
+    const JsonValue* args = ev->get("args");
+    const JsonValue* trace_id =
+        args != nullptr && args->is(JsonValue::kObject) ? args->get("trace_id")
+                                                        : nullptr;
+    if (trace_id == nullptr || !trace_id->is(JsonValue::kString)) {
+      return complain(file, at + " ('X') has no args.trace_id");
+    }
+    const JsonValue* c0 = args->get("cycle_start");
+    const JsonValue* c1 = args->get("cycle");
+    if (c0 != nullptr && c1 != nullptr &&
+        (!c0->is(JsonValue::kNumber) || !c1->is(JsonValue::kNumber) ||
+         c0->number > c1->number)) {
+      return complain(file, at + " has args.cycle_start > args.cycle");
     }
   }
   if (min_pids > 0 && static_cast<long>(pids.size()) < min_pids) {

@@ -47,7 +47,6 @@ struct Options {
   bool cold = false;         // skip pre-synthesizing the catalog
   std::string report_json;
   std::string metrics_json;  // fleet snapshot via the bench egress
-  std::string perf_trace;    // merged multi-node Chrome trace
   std::string trace_out;     // causal job spans, Chrome trace_event
   std::string spans_out;     // causal job spans, JSONL
   std::string prom;          // fleet snapshot, Prometheus exposition
@@ -76,12 +75,11 @@ void usage(std::FILE* to) {
                "  --report-json F  write the fleet metrics snapshot to F\n"
                "  --metrics-json F write the fleet snapshot via the bench\n"
                "                   egress format ({benchmark, runs})\n"
-               "  --perf-trace F   per-node cycle tracers, merged into one\n"
-               "                   multi-process Chrome trace (slower:\n"
-               "                   forces the per-step run path)\n"
                "  --trace-out F    causal job tracing: every job's phases\n"
-               "                   as a Chrome trace_event file, one\n"
-               "                   process lane per node\n"
+               "                   (queue wait through readback, with the\n"
+               "                   node cycles each covered) as a Chrome\n"
+               "                   trace_event file, one process lane per\n"
+               "                   node\n"
                "  --spans-out F    causal job tracing as JSONL, one span\n"
                "                   object per line\n"
                "  --prom F         write the fleet snapshot as Prometheus\n"
@@ -158,10 +156,6 @@ bool parse(int argc, char** argv, Options& o) {
       const char* v = next("--metrics-json");
       if (v == nullptr) return false;
       o.metrics_json = v;
-    } else if (a == "--perf-trace") {
-      const char* v = next("--perf-trace");
-      if (v == nullptr) return false;
-      o.perf_trace = v;
     } else if (a == "--trace-out") {
       const char* v = next("--trace-out");
       if (v == nullptr) return false;
@@ -294,7 +288,6 @@ int main(int argc, char** argv) {
   fc.scheduler.affinity_window = opt.window;
   fc.scheduler.max_skips = opt.max_skips;
   fc.tracing = !opt.trace_out.empty() || !opt.spans_out.empty();
-  fc.perf_trace = !opt.perf_trace.empty();
   fc.node_template.flight_recorder = opt.flight_recorder;
   if (opt.fault_nodes > 0) {
     // Hold the workers at their gate so injectors can be armed safely,
@@ -419,10 +412,6 @@ int main(int argc, char** argv) {
     bench::BenchIo io("lfarm", opt.metrics_json, "");
     io.add_run("fleet", rep.fleet);
     if (!io.finish()) return 2;
-  }
-  if (!opt.perf_trace.empty() &&
-      !write_file("lfarm", opt.perf_trace, f.merged_perf_trace())) {
-    return 2;
   }
   if (!opt.trace_out.empty() &&
       !f.span_log().write_chrome_json(opt.trace_out)) {
