@@ -87,6 +87,11 @@ void LiquidFarm::wake() {
   cv_work_.notify_all();
 }
 
+void LiquidFarm::set_result_listener(std::function<void()> fn) {
+  const std::lock_guard<std::mutex> lk(mu_);
+  result_listener_ = std::move(fn);
+}
+
 std::optional<FarmJobOutcome> LiquidFarm::try_pop_result() {
   const std::lock_guard<std::mutex> lk(mu_);
   if (results_.empty()) return std::nullopt;
@@ -334,6 +339,7 @@ void LiquidFarm::worker_loop(Worker& w) {
       }
       out.result = std::move(r);
       results_.push_back(std::move(out));
+      if (result_listener_) result_listener_();
       cv_work_.notify_all();  // completing frees this job's owner
       cv_results_.notify_all();
     }

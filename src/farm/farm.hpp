@@ -29,6 +29,7 @@
 #pragma once
 
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -166,6 +167,14 @@ class LiquidFarm {
   /// Wake the workers to pick up queued work.
   void wake();
 
+  /// Call `fn` each time a job's final outcome is queued for popping
+  /// (never for an execution requeued as a retry).  It runs under the
+  /// farm lock on a worker thread, so it must be cheap and must not call
+  /// back into the farm; in exchange, once a call that clears the
+  /// listener (empty `fn`) returns, no call is in flight and whatever the
+  /// old listener touched may be torn down.  One listener at a time.
+  void set_result_listener(std::function<void()> fn);
+
   /// Pop one completed job if any is ready.
   std::optional<FarmJobOutcome> try_pop_result();
   /// Pop one completed job, waiting if work is still in the pipe;
@@ -246,6 +255,7 @@ class LiquidFarm {
   FarmScheduler sched_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::deque<FarmJobOutcome> results_;
+  std::function<void()> result_listener_;  // guarded by mu_
   trace::SpanLog span_log_;  // internally locked; written by all workers
   std::vector<double> wall_samples_;  // per-job wall_seconds, for p50/95/99
   bool started_ = false;

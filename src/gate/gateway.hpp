@@ -6,7 +6,9 @@
 // owns everything — socket, sessions, metrics — and alternates between
 // draining the socket (admitting work) and draining the farm's result
 // queue (pushing kResult frames back to wherever the tenant last spoke
-// from).  Admission control is layered, cheapest check first:
+// from).  The farm's result listener signals an eventfd in the loop's
+// epoll set, so a finished job is pushed the moment the farm queues it.
+// Admission control is layered, cheapest check first:
 //
 //   auth token -> request-id dedup -> token bucket (rate) -> in-flight
 //   cap -> lifetime quota -> the farm's own typed admission (queue
@@ -52,9 +54,6 @@ struct GateConfig {
   /// Sessions silent this long are garbage-collected; their in-flight
   /// results become orphans (counted, dropped).
   double session_idle_ms = 120'000;
-  /// epoll wait per loop iteration: bounds result-push latency when the
-  /// socket is quiet.
-  int tick_ms = 1;
 };
 
 class Gateway {
@@ -65,11 +64,12 @@ class Gateway {
   Gateway(const Gateway&) = delete;
   Gateway& operator=(const Gateway&) = delete;
 
-  /// Bind the socket and launch the loop thread; false when the bind
-  /// fails (port taken, bad ip).
+  /// Bind the socket, become the farm's result listener and launch the
+  /// loop thread; false when the bind fails (port taken, bad ip).
   bool start();
 
-  /// Stop accepting, join the loop thread.  Idempotent.
+  /// Stop accepting, join the loop thread and clear the farm's result
+  /// listener.  Idempotent; start() may follow.
   void stop();
 
   bool running() const { return running_; }
@@ -115,6 +115,9 @@ class Gateway {
   TenantDirectory dir_;
   UdpSocket sock_;
   Epoll epoll_;
+  // Registered in epoll_ once, for every start()/stop() cycle: the farm's
+  // result listener and stop() signal it to wake the loop.
+  EventFd wake_;
   SockAddr addr_;
   std::thread thread_;
   std::atomic<bool> stop_{false};

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -46,7 +47,8 @@ std::string SockAddr::to_string() const {
 
 UdpSocket::~UdpSocket() { close(); }
 
-UdpSocket::UdpSocket(UdpSocket&& other) noexcept : fd_(other.fd_) {
+UdpSocket::UdpSocket(UdpSocket&& other) noexcept
+    : fd_(other.fd_), rx_(std::move(other.rx_)) {
   other.fd_ = -1;
 }
 
@@ -54,6 +56,7 @@ UdpSocket& UdpSocket::operator=(UdpSocket&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = other.fd_;
+    rx_ = std::move(other.rx_);
     other.fd_ = -1;
   }
   return *this;
@@ -110,15 +113,14 @@ bool UdpSocket::send_to(const SockAddr& dst, std::span<const u8> data) {
 
 std::optional<Bytes> UdpSocket::recv_from(SockAddr* src) {
   if (fd_ < 0) return std::nullopt;
-  Bytes buf(kRecvBuf);
+  if (!rx_) rx_ = std::make_unique_for_overwrite<u8[]>(kRecvBuf);
   sockaddr_in sa{};
   socklen_t len = sizeof sa;
-  const ssize_t n = ::recvfrom(fd_, buf.data(), buf.size(), 0,
+  const ssize_t n = ::recvfrom(fd_, rx_.get(), kRecvBuf, 0,
                                reinterpret_cast<sockaddr*>(&sa), &len);
   if (n < 0) return std::nullopt;  // EAGAIN and friends: nothing now
-  buf.resize(static_cast<std::size_t>(n));
   if (src != nullptr) *src = from_sockaddr(sa);
-  return buf;
+  return Bytes(rx_.get(), rx_.get() + n);
 }
 
 void UdpSocket::close() {
@@ -141,11 +143,30 @@ bool Epoll::add_read(int fd) {
   return fd_ >= 0 && ::epoll_ctl(fd_, EPOLL_CTL_ADD, fd, &ev) == 0;
 }
 
-bool Epoll::wait_readable(int timeout_ms) {
-  if (fd_ < 0) return false;
-  epoll_event out[8];
-  const int n = ::epoll_wait(fd_, out, 8, timeout_ms);
-  return n > 0;
+std::span<const int> Epoll::wait(int timeout_ms) {
+  if (fd_ < 0) return {};
+  epoll_event out[kMaxReady];
+  const int n = ::epoll_wait(fd_, out, kMaxReady, timeout_ms);
+  for (int i = 0; i < n; ++i) ready_[i] = out[i].data.fd;
+  return {ready_, static_cast<std::size_t>(n > 0 ? n : 0)};
+}
+
+EventFd::EventFd() : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {}
+
+EventFd::~EventFd() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+void EventFd::signal() {
+  const u64 one = 1;
+  // Only a counter at its ceiling refuses a write, and it is then already
+  // readable: nothing to handle.
+  [[maybe_unused]] const ssize_t n = ::write(fd_, &one, sizeof one);
+}
+
+void EventFd::clear() {
+  u64 count = 0;
+  [[maybe_unused]] const ssize_t n = ::read(fd_, &count, sizeof count);
 }
 
 void WanLink::send(Bytes frame) {

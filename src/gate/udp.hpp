@@ -1,13 +1,16 @@
 // Thin RAII layer over the real sockets API: a non-blocking UDP socket,
-// an epoll instance, and a WAN-emulated link that runs every datagram
-// through the seeded net::Channel impairments before it touches the wire.
+// an epoll instance, an eventfd other threads use to wake an epoll loop,
+// and a WAN-emulated link that runs every datagram through the seeded
+// net::Channel impairments before it touches the wire.
 //
 // This is the first place in the repo where bytes cross an actual kernel
 // socket.  Everything stays loopback-friendly: bind to an ephemeral port,
 // never block, surface EAGAIN as "nothing right now".
 #pragma once
 
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "common/bytes.hpp"
@@ -26,6 +29,8 @@ struct SockAddr {
 };
 
 /// A non-blocking IPv4 UDP socket.  Move-only; closes on destruction.
+/// Reads go through one receive buffer the socket owns, so a socket is
+/// read by one thread at a time (sends may come from anywhere).
 class UdpSocket {
  public:
   UdpSocket() = default;
@@ -51,13 +56,15 @@ class UdpSocket {
   /// and-lost — this is UDP, the caller's retry logic owns reliability).
   bool send_to(const SockAddr& dst, std::span<const u8> data);
 
-  /// One datagram if the kernel has one; nullopt on EAGAIN.
+  /// One datagram if the kernel has one, sized to exactly the bytes
+  /// received; nullopt on EAGAIN (one syscall, nothing allocated).
   std::optional<Bytes> recv_from(SockAddr* src = nullptr);
 
   void close();
 
  private:
   int fd_ = -1;
+  std::unique_ptr<u8[]> rx_;  // 64 KiB, allocated by the first read
 };
 
 /// A level-triggered epoll wrapper over one or more fds.
@@ -70,8 +77,29 @@ class Epoll {
 
   bool valid() const { return fd_ >= 0; }
   bool add_read(int fd);
-  /// True when at least one registered fd is readable within timeout_ms.
-  bool wait_readable(int timeout_ms);
+  /// Sleep until a registered fd is readable or timeout_ms passes; the
+  /// fds found readable (empty on timeout), valid until the next wait.
+  std::span<const int> wait(int timeout_ms);
+
+ private:
+  static constexpr int kMaxReady = 8;
+  int fd_ = -1;
+  int ready_[kMaxReady] = {};
+};
+
+/// A non-blocking eventfd: any thread may signal() it, and the thread
+/// that watches it in an Epoll clear()s it once woken.
+class EventFd {
+ public:
+  EventFd();
+  ~EventFd();
+  EventFd(const EventFd&) = delete;
+  EventFd& operator=(const EventFd&) = delete;
+
+  bool valid() const { return fd_ >= 0; }
+  int fd() const { return fd_; }
+  void signal();
+  void clear();
 
  private:
   int fd_ = -1;

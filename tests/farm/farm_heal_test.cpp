@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <vector>
 
@@ -19,29 +20,42 @@
 namespace la::farm {
 namespace {
 
-TEST(FarmHeal, WedgedNodeDrainsRetriesAndRecovers) {
+// Two nodes, held at their gate (autostart off) so a fault can be wired
+// before any worker touches a node.
+FarmConfig wedge_farm_config() {
   FarmConfig fc;
   fc.nodes = 2;
-  fc.autostart = false;  // wire the fault before any worker touches a node
+  fc.autostart = false;
   fc.node_template.watchdog_budget = 20'000;
   fc.max_job_retries = 2;
-  LiquidFarm f(fc);
+  return fc;
+}
 
-  // Wedge node 0 permanently (until reset) as its first job's program
-  // starts; only the watchdog + drain-on-fault machinery can save that
-  // job.  The trigger is the program entry rather than a cycle count: a
-  // wedge that lands while the node boots or loads is wiped by the next
-  // warm-start restore (it replaces the whole CPU state), and when that
-  // happens depends on how fast the sibling donates its snapshots.
+// Wedge a node permanently (until reset) as its first job's program
+// starts; only the watchdog + drain-on-fault machinery can save that
+// job.  The trigger is the program entry rather than a cycle count: a
+// wedge that lands while the node boots or loads is wiped by the next
+// warm-start restore (it replaces the whole CPU state), and when that
+// happens depends on how fast the sibling donates its snapshots.
+fault::FaultPlan wedge_at_program_entry() {
   fault::FaultPlan plan;
   plan.events.push_back({{fault::TriggerKind::kPc, mem::map::kUserProgramBase},
                          {fault::FaultSite::kCpuWedge, 0, 1, 1, 0}});
-  fault::FaultInjector inj(f.node_for_setup(0), plan);
+  return plan;
+}
 
+WorkloadConfig wedge_workload() {
   WorkloadConfig wc;
   wc.seed = 77;
   wc.owners = 4;
-  WorkloadGenerator gen(wc);
+  return wc;
+}
+
+TEST(FarmHeal, WedgedNodeDrainsRetriesAndRecovers) {
+  LiquidFarm f(wedge_farm_config());
+  fault::FaultInjector inj(f.node_for_setup(0), wedge_at_program_entry());
+
+  WorkloadGenerator gen(wedge_workload());
   std::map<u64, u32> expected;
   std::map<u64, std::string> owners;
   for (int i = 0; i < 16; ++i) {
@@ -94,6 +108,39 @@ TEST(FarmHeal, WedgedNodeDrainsRetriesAndRecovers) {
   }
   EXPECT_EQ(rep.fleet.value_u64("farm.retries"), rep.retries);
   EXPECT_EQ(rep.fleet.value_u64("farm.migrations"), rep.migrations);
+}
+
+TEST(FarmHeal, ResultListenerFiresOncePerDeliveredOutcome) {
+  std::atomic<u64> calls{0};  // outlives the farm and its workers
+  LiquidFarm f(wedge_farm_config());
+  fault::FaultInjector inj(f.node_for_setup(0), wedge_at_program_entry());
+  f.set_result_listener([&] { ++calls; });
+
+  WorkloadGenerator gen(wedge_workload());
+  constexpr u64 kJobs = 16;
+  for (u64 i = 0; i < kJobs; ++i) ASSERT_TRUE(f.submit(gen.next().job));
+  f.start();
+  f.drain();
+
+  // One call per queued outcome; the wedged executions that went back on
+  // the queue as retries queued none.
+  u64 popped = 0;
+  while (f.try_pop_result()) ++popped;
+  EXPECT_EQ(popped, kJobs);
+  EXPECT_EQ(calls.load(), kJobs);
+  const FarmReport rep = f.report();
+  EXPECT_GE(rep.retries, 1u) << "the wedge never caused a retry";
+  EXPECT_EQ(rep.jobs, kJobs + rep.retries);  // executions, retries included
+
+  // Cleared, it stays silent while the farm keeps delivering.
+  f.set_result_listener({});
+  ASSERT_TRUE(f.submit(gen.next().job));
+  ASSERT_TRUE(f.submit(gen.next().job));
+  f.drain();
+  popped = 0;
+  while (f.try_pop_result()) ++popped;
+  EXPECT_EQ(popped, 2u);
+  EXPECT_EQ(calls.load(), kJobs);
 }
 
 TEST(FarmHeal, RetriesExhaustedDeliverTheFailureAndTheNodeHeals) {

@@ -199,6 +199,65 @@ TEST_F(GatewayTest, ByeClosesTheSession) {
   EXPECT_EQ(resp->payload[0], err::kNoSession);
 }
 
+TEST_F(GatewayTest, ResultsArePushedWithoutAPoll) {
+  start();
+  ClientConfig cc = client_cfg(2);
+  // Longer than the test: the client never resends, so never polls, and
+  // only the gateway's push can deliver a result.
+  cc.resend_after_ms = 60'000;
+  cc.op_timeout_ms = 20'000;
+  GateClient c(std::move(cc));
+  ASSERT_TRUE(c.hello().has_value());
+  constexpr u64 kJobs = 4;
+  std::vector<u32> expected(kJobs);
+  std::vector<std::optional<ResultWire>> results(kJobs);
+  for (u64 i = 0; i < kJobs; ++i) {
+    const auto resp = c.submit(i + 2, next_job(&expected[i]));
+    ASSERT_TRUE(resp.has_value());
+    // A push that lands in the same read as its kAccepted answers the
+    // submit itself.
+    if (resp->kind == GateKind::kResult) {
+      results[i] = ResultWire::parse(resp->payload);
+    }
+  }
+  for (u64 i = 0; i < kJobs; ++i) {
+    if (!results[i]) results[i] = c.await_result(i + 2);
+    const auto& r = results[i];
+    ASSERT_TRUE(r.has_value()) << "job " << i;
+    EXPECT_EQ(r->status, ResultWire::kDone);
+    ASSERT_FALSE(r->words.empty());
+    EXPECT_EQ(r->words[0], expected[i]);
+    EXPECT_EQ(r->completion_seq, static_cast<u32>(i));
+  }
+  gw_->stop();
+  const auto snap = gw_->final_metrics();
+  EXPECT_EQ(snap.value_or("gate.polls"), 0.0);
+  EXPECT_EQ(snap.value_or("gate.results_pushed"), static_cast<double>(kJobs));
+}
+
+TEST_F(GatewayTest, StopThenStartServesAgain) {
+  start();
+  {
+    GateClient c(client_cfg(0));
+    ASSERT_TRUE(c.hello().has_value());
+    ASSERT_TRUE(c.submit(2, next_job()).has_value());
+    ASSERT_TRUE(c.await_result(2).has_value());
+  }
+  gw_->stop();
+  // Same gateway, same farm, a fresh socket: sessions survive the
+  // restart and finished jobs still wake the loop.
+  ASSERT_TRUE(gw_->start());
+  GateClient c(client_cfg(0));
+  u32 expected = 0;
+  ASSERT_TRUE(c.submit(3, next_job(&expected)).has_value());
+  const auto r = c.await_result(3);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->status, ResultWire::kDone);
+  ASSERT_FALSE(r->words.empty());
+  EXPECT_EQ(r->words[0], expected);
+  EXPECT_EQ(r->completion_seq, 1u);
+}
+
 TEST_F(GatewayTest, FinalMetricsCountTheTraffic) {
   start();
   {
