@@ -6,10 +6,12 @@
 // tier.  The functional model has no fast tier, so it gets one row, with
 // `fast_paths: false`.
 //
-// Two workloads: `alu_loop`, a 5-instruction ALU/branch loop, on every
-// model; and `crc32`, progs/crc32.s (branchy, data-dependent, with a
-// load per byte and cycle-counter APB accesses per pass) looped forever
-// on the full node.
+// Three workloads: `alu_loop`, a 5-instruction ALU/branch loop, on every
+// model; and two progs/ kernels looped forever on the full node:
+// `crc32`, progs/crc32.s (branchy, data-dependent, with a load per byte
+// and cycle-counter APB accesses per pass), and `stream`, progs/stream.s
+// (copy/scale/add/triad over three 1 KB arrays, so the 1 KB D-cache
+// misses and every store goes through the write buffer).
 //
 // Emits BENCH_sim.json (override with --out), one row per measurement.
 // Each row splits its --secs budget into five equal samples and records
@@ -98,18 +100,19 @@ done: ba done
 #define LA_COMMIT "unknown"
 #endif
 
-/// progs/crc32.s, made endless: its final jump back to the boot ROM's
-/// polling loop becomes a branch to its own entry, so every timed step
-/// is the kernel (and a program Start is needed only once).
-std::string crc32_forever() {
-  std::ifstream in(std::string(LA_PROGS_DIR) + "/crc32.s");
+/// progs/<workload>.s, made endless: its final jump back to the boot
+/// ROM's polling loop becomes a branch to its own entry, so every timed
+/// step is the kernel (and a program Start is needed only once).
+std::string kernel_forever(const std::string& workload) {
+  const std::string file = "progs/" + workload + ".s";
+  std::ifstream in(std::string(LA_PROGS_DIR) + "/" + workload + ".s");
   std::stringstream ss;
   ss << in.rdbuf();
   std::string src = ss.str();
   const std::string from = "jmp 0x40";
   const std::size_t at = src.find(from);
   if (at == std::string::npos) {
-    throw std::runtime_error("progs/crc32.s: no '" + from + "' to rewrite");
+    throw std::runtime_error(file + ": no '" + from + "' to rewrite");
   }
   src.replace(at, from.size(), "ba _start");
   return src;
@@ -206,9 +209,9 @@ Row measure_liquid_system(bool fast, double secs,
   sim::LiquidSystem sys(cfg);
   sys.run(200);  // boot into the ROM polling loop
   ctrl::LiquidClient client(sys);
-  const bool crc = std::strcmp(workload, "crc32") == 0;
+  const bool loop = std::strcmp(workload, "alu_loop") == 0;
   const auto img =
-      sasm::assemble_or_throw(crc ? crc32_forever() : kSystemLoop);
+      sasm::assemble_or_throw(loop ? kSystemLoop : kernel_forever(workload));
   // The recorder-armed variant gets its own model name so the trajectory
   // file keeps one row per (model, workload, fast_paths) triple.
   const std::string model =
@@ -235,7 +238,7 @@ int usage() {
                "usage: sim_mips [--out FILE] [--secs N]\n"
                "  --out FILE   output JSON path (default BENCH_sim.json)\n"
                "  --secs N     wall-clock budget per measurement, seconds\n"
-               "               (default 1.0, split into %d samples; eight\n"
+               "               (default 1.0, split into %d samples; ten\n"
                "               measurements total)\n",
                kSamples);
   return 2;
@@ -268,9 +271,11 @@ int main(int argc, char** argv) {
   // ring) on the fast path.  The recorder compiled in but *disabled* is
   // the plain liquid_system row above.
   rows.push_back(measure_liquid_system(true, secs, /*flight_recorder=*/true));
-  // A real kernel on the full node, fast paths off and on.
-  for (const bool fast : {false, true}) {
-    rows.push_back(measure_liquid_system(fast, secs, false, "crc32"));
+  // Real kernels on the full node, fast paths off and on.
+  for (const char* kernel : {"crc32", "stream"}) {
+    for (const bool fast : {false, true}) {
+      rows.push_back(measure_liquid_system(fast, secs, false, kernel));
+    }
   }
 
   const unsigned nproc = std::thread::hardware_concurrency();

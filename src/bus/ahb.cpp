@@ -3,6 +3,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "common/bits.hpp"
+
 namespace la::bus {
 
 void AhbBus::attach(Addr base, u64 size, AhbSlave* slave) {
@@ -106,13 +108,7 @@ Cycles AhbBus::fill_line(Master m, Addr addr, u32 line_bytes, u8* line,
   error = t.error;
   if (!t.error) {
     // Beats are big-endian words; unpack into the line's byte storage.
-    for (u32 w = 0; w < beats; ++w) {
-      const u32 v = buf[w];
-      line[w * 4 + 0] = static_cast<u8>(v >> 24);
-      line[w * 4 + 1] = static_cast<u8>(v >> 16);
-      line[w * 4 + 2] = static_cast<u8>(v >> 8);
-      line[w * 4 + 3] = static_cast<u8>(v);
-    }
+    for (u32 w = 0; w < beats; ++w) write_be(line + w * 4, 4, buf[w]);
   }
   return c;
 }
@@ -128,8 +124,7 @@ Cycles AhbBus::write_line(Master m, Addr addr, u32 line_bytes, const u8* line,
     buf = heap.data();
   }
   for (u32 w = 0; w < beats; ++w) {
-    buf[w] = (u32{line[w * 4 + 0]} << 24) | (u32{line[w * 4 + 1]} << 16) |
-             (u32{line[w * 4 + 2]} << 8) | u32{line[w * 4 + 3]};
+    buf[w] = static_cast<u32>(read_be(line + w * 4, 4));
   }
   AhbTransfer t;
   t.addr = addr;

@@ -151,7 +151,9 @@ class Cache {
   /// returns the line storage + slot; in every other case (miss, poisoned
   /// line) it touches NOTHING and returns null data — the caller falls
   /// back to access(), which then observes the same pre-probe state.
-  HitRef lookup_hit(Addr addr) {
+  /// Forced inline: the pipeline's line tier serves D-cache read hits with
+  /// no call.
+  [[gnu::always_inline]] HitRef lookup_hit(Addr addr) {
     const u32 set = (static_cast<u32>(addr) >> line_shift_) & set_mask_;
     const u32 tag = static_cast<u32>(addr) >> tag_shift_;
     Way* base = &ways_[static_cast<std::size_t>(set) * cfg_.ways];

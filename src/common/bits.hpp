@@ -3,6 +3,7 @@
 
 #include <bit>
 #include <cassert>
+#include <cstring>
 
 #include "common/types.hpp"
 
@@ -56,6 +57,57 @@ constexpr bool is_aligned(u64 v, u64 a) { return align_down(v, a) == v; }
 constexpr u64 ceil_div(u64 n, u64 d) {
   assert(d != 0);
   return (n + d - 1) / d;
+}
+
+/// Byte-order reversal (C++23's std::byteswap); compilers emit one bswap.
+constexpr u16 byteswap(u16 v) { return static_cast<u16>((v << 8) | (v >> 8)); }
+constexpr u32 byteswap(u32 v) {
+  return (v << 24) | ((v << 8) & 0x00ff0000u) | ((v >> 8) & 0x0000ff00u) |
+         (v >> 24);
+}
+constexpr u64 byteswap(u64 v) {
+  return (u64{byteswap(static_cast<u32>(v))} << 32) |
+         byteswap(static_cast<u32>(v >> 32));
+}
+
+namespace detail {
+/// Host-order value of the big-endian T stored at `p` (any alignment).
+template <class T>
+T load_big(const u8* p) {
+  T v;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::little) v = byteswap(v);
+  return v;
+}
+template <class T>
+void store_big(u8* p, T v) {
+  if constexpr (std::endian::native == std::endian::little) v = byteswap(v);
+  std::memcpy(p, &v, sizeof v);
+}
+}  // namespace detail
+
+/// Big-endian value of the `n` (1, 2, 4 or 8) bytes at `p`: the one
+/// byte-order path of the simulated memories and cache lines.  With `n` a
+/// constant the switch folds to a single load.
+inline u64 read_be(const u8* p, unsigned n) {
+  assert(n == 1 || n == 2 || n == 4 || n == 8);
+  switch (n) {
+    case 1: return p[0];
+    case 2: return detail::load_big<u16>(p);
+    case 4: return detail::load_big<u32>(p);
+    default: return detail::load_big<u64>(p);
+  }
+}
+
+/// Store the low `n` (1, 2, 4 or 8) bytes of `v` big-endian at `p`.
+inline void write_be(u8* p, unsigned n, u64 v) {
+  assert(n == 1 || n == 2 || n == 4 || n == 8);
+  switch (n) {
+    case 1: p[0] = static_cast<u8>(v); break;
+    case 2: detail::store_big(p, static_cast<u16>(v)); break;
+    case 4: detail::store_big(p, static_cast<u32>(v)); break;
+    default: detail::store_big(p, v); break;
+  }
 }
 
 }  // namespace la

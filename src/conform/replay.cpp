@@ -69,13 +69,29 @@ RunOutcome run_iu(const TestVector& v) {
   return o;
 }
 
+/// Fill the lines holding the addresses of `words` ((address, word)
+/// pairs) into `c` from the bus, as a miss would: the bytes are memory's,
+/// so the fill is architecturally invisible.
+void fill_lines(cache::Cache& c, bus::AhbBus& bus, bus::Master master,
+                const auto& words) {
+  for (const auto& [a, w] : words) {
+    (void)w;
+    if (c.probe(a)) continue;
+    const cache::AccessOutcome fill = c.access(a, /*is_write=*/false);
+    bool error = false;
+    bus.fill_line(master, fill.line_addr, c.config().line_bytes, fill.data,
+                  error);
+    if (error) c.invalidate_line(a);
+  }
+}
+
 // `run` selects the pipe-run leg: the vector's code lines are filled into
-// the I-cache first — architecturally invisible, the bytes are memory's —
-// so run() meets them resident and executes through the line tier (a
-// cold fetch would take the per-step miss path).  run() hands back no
-// step results, so the trap outcome comes from the pipeline's own
-// bookkeeping: the trap counter and the tt field take_trap latches into
-// TBR (the last trap wins, as in note_trap).
+// the I-cache and its data lines into the D-cache first, so run() meets
+// them resident and executes through the line tier, its loads through
+// the D-cache hit path (a cold fetch would take the per-step miss path).
+// run() hands back no step results, so the trap outcome comes from the
+// pipeline's own bookkeeping: the trap counter and the tt field
+// take_trap latches into TBR (the last trap wins, as in note_trap).
 RunOutcome run_pipe(const TestVector& v, bool fast, bool run = false) {
   mem::Sram sram(kVecMemBase, kVecMemSize);
   bus::AhbBus bus;
@@ -93,17 +109,8 @@ RunOutcome run_pipe(const TestVector& v, bool fast, bool run = false) {
 
   RunOutcome o;
   if (run) {
-    cache::Cache& ic = pipe.icache();
-    const u32 line_bytes = ic.config().line_bytes;
-    for (const auto& [a, w] : v.code) {
-      (void)w;
-      if (ic.probe(a)) continue;
-      const cache::AccessOutcome fill = ic.access(a, /*is_write=*/false);
-      bool error = false;
-      bus.fill_line(bus::Master::kCpuInstr, fill.line_addr, line_bytes,
-                    fill.data, error);
-      if (error) ic.invalidate_line(a);
-    }
+    fill_lines(pipe.icache(), bus, bus::Master::kCpuInstr, v.code);
+    fill_lines(pipe.dcache(), bus, bus::Master::kCpuData, v.pre.mem);
     pipe.run(static_cast<u64>(v.steps));
     o.trapped = pipe.stats().traps != 0;
     if (o.trapped) o.tt = pipe.state().tbr_tt();

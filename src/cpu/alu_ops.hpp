@@ -1,12 +1,16 @@
-// Inline ALU semantics for LeonPipeline's line tier.
+// Inline semantics for LeonPipeline's line tier.
 //
 // The line tier (run_lines() over the predecoded I-cache mirror) runs the
-// pure register-to-register operations inline instead of through the
-// shared core's execute() switch.  This header is the one list of those
-// operations: an X-macro from which leon_pipeline.cpp generates the
-// dispatch tokens, the mnemonic-to-token switch and the handlers, plus
-// the condition-code helpers it and the semantics core
-// (cpu/sparc_core.hpp) share.
+// hot instructions inline instead of through the shared core's execute()
+// switch.  This header holds the two lists of those instructions, each an
+// X-macro from which leon_pipeline.cpp generates the dispatch tokens, the
+// mnemonic-to-token switch and the handlers, plus the condition-code
+// helpers the line tier and the semantics core (cpu/sparc_core.hpp) share:
+//   LA_ALU_OPS  the pure register-to-register operations and sethi;
+//   LA_MEM_OPS  the plain integer loads and stores.
+// Everything else (ldd/std with an odd rd, the atomics, the alternate-
+// space ops, control transfers but Bicc, multiply/divide, window and state
+// register ops) keeps the execute() token.
 //
 // LA_ALU_OPS(M) expands M(label stem, Mnemonic enumerator, body) once per
 // inline op.  Each body mirrors the corresponding case of
@@ -16,8 +20,19 @@
 //   LA_ALU_RD(v)          write v to rd
 //   LA_ALU_PSR            the Psr lvalue (icc in, icc out)
 //   LA_ALU_SUBX_NO_CARRY  CpuConfig::quirk_subx_no_carry
+//
+// LA_MEM_OPS(M) expands M(label stem, Mnemonic enumerator, LOAD or STORE,
+// access size, CpuConfig extra-cycle field, body) once per inline op; the
+// address is rs1 + (rs2 or simm13), and the bodies mirror execute()'s
+// load/store tail.  A LOAD body moves the big-endian value read, V (u64),
+// into registers; a STORE body is the value to write.  Hooks:
+//   LA_MEM_RD(v)   write v to rd       LA_MEM_RS   the value of rd
+//   LA_MEM_RD1(v)  write v to rd | 1   LA_MEM_RS1  the value of rd | 1
+// The doubleword ops' odd-rd encodings trap (illegal_instruction) and are
+// left to execute().
 #pragma once
 
+#include "common/bits.hpp"
 #include "common/types.hpp"
 #include "cpu/state.hpp"
 
@@ -82,3 +97,19 @@ inline void icc_sub(Psr& p, u32 a, u32 b, u32 r, bool carry_in) {
   M(subxcc, kSubxcc, const bool cin = LA_ALU_PSR.c;                        \
     const u32 r = A - B - (cin ? 1 : 0); icc_sub(LA_ALU_PSR, A, B, r, cin); \
     LA_ALU_RD(r))
+
+#define LA_MEM_OPS(M)                                                      \
+  M(ld, kLd, LOAD, 4, load_extra, LA_MEM_RD(static_cast<u32>(V)))          \
+  M(ldub, kLdub, LOAD, 1, load_extra, LA_MEM_RD(static_cast<u32>(V)))      \
+  M(lduh, kLduh, LOAD, 2, load_extra, LA_MEM_RD(static_cast<u32>(V)))      \
+  M(ldsb, kLdsb, LOAD, 1, load_extra,                                      \
+    LA_MEM_RD(static_cast<u32>(sign_extend(static_cast<u32>(V), 8))))      \
+  M(ldsh, kLdsh, LOAD, 2, load_extra,                                      \
+    LA_MEM_RD(static_cast<u32>(sign_extend(static_cast<u32>(V), 16))))     \
+  M(ldd, kLdd, LOAD, 8, load_double_extra,                                 \
+    LA_MEM_RD(static_cast<u32>(V >> 32)); LA_MEM_RD1(static_cast<u32>(V))) \
+  M(st, kSt, STORE, 4, store_extra, LA_MEM_RS)                             \
+  M(stb, kStb, STORE, 1, store_extra, LA_MEM_RS)                           \
+  M(sth, kSth, STORE, 2, store_extra, LA_MEM_RS)                           \
+  M(std, kStd, STORE, 8, store_double_extra,                               \
+    (u64{LA_MEM_RS} << 32) | LA_MEM_RS1)

@@ -24,19 +24,13 @@ class FlatMemory final : public MemoryPort {
 
   bool read(Addr addr, unsigned size, u64& out) override {
     if (!contains(addr, size)) return false;
-    const std::size_t o = addr - base_;
-    u64 v = 0;
-    for (unsigned i = 0; i < size; ++i) v = (v << 8) | data_[o + i];
-    out = v;
+    out = read_be(&data_[addr - base_], size);
     return true;
   }
 
   bool write(Addr addr, unsigned size, u64 value) override {
     if (!contains(addr, size)) return false;
-    const std::size_t o = addr - base_;
-    for (unsigned i = 0; i < size; ++i) {
-      data_[o + i] = static_cast<u8>(value >> (8 * (size - 1 - i)));
-    }
+    write_be(&data_[addr - base_], size, value);
     return true;
   }
 

@@ -20,40 +20,29 @@ using isa::Trap;
 using Core = SparcCore<LeonPipeline>;
 
 namespace {
-/// Big-endian scalar access into a cache line's byte storage.
-u64 line_read(const u8* line, u32 off, unsigned size) {
-  u64 v = 0;
-  for (unsigned i = 0; i < size; ++i) v = (v << 8) | line[off + i];
-  return v;
-}
-
-void line_write(u8* line, u32 off, unsigned size, u64 v) {
-  for (unsigned i = 0; i < size; ++i) {
-    line[off + i] = static_cast<u8>(v >> (8 * (size - 1 - i)));
-  }
-}
-
-// Line-tier dispatch tokens: the register forms of the inline ALU ops (in
-// LA_ALU_OPS order, the order run_lines() builds its label tables in),
-// then the two structural tokens, then the immediate-form twins at
-// kOpAluImmBase.
+// Line-tier dispatch tokens: the register forms of the inline ops (the
+// ALU ops, then the loads and stores, in list order: the order run_lines()
+// builds its label tables in), then the two structural tokens, then the
+// immediate-form twins at kOpImmBase.
 enum : u8 {
 #define LA_LT_TOKEN(name, mn, ...) kOp_##name,
   LA_ALU_OPS(LA_LT_TOKEN)
+  LA_MEM_OPS(LA_LT_TOKEN)
 #undef LA_LT_TOKEN
   kOpExecute,
   kOpBicc,
-  kOpAluImmBase,
-  kOpKinds = kOpAluImmBase + kOpExecute,
+  kOpImmBase,
+  kOpKinds = kOpImmBase + kOpExecute,
 };
 
-/// The register-form token of `mn`'s inline ALU op, or kOpExecute.
-u8 alu_token(Mnemonic mn) {
+/// The register-form token of `mn`'s inline op, or kOpExecute.
+u8 line_token(Mnemonic mn) {
   switch (mn) {
 #define LA_LT_CASE(name, mn, ...) \
   case Mnemonic::mn:              \
     return kOp_##name;
     LA_ALU_OPS(LA_LT_CASE)
+    LA_MEM_OPS(LA_LT_CASE)
 #undef LA_LT_CASE
     default:
       return kOpExecute;
@@ -138,12 +127,12 @@ void LeonPipeline::predecode_line(u32 slot, Addr line_addr, const u8* line) {
   imirror_addr_[slot] = line_addr;
   const std::size_t base = static_cast<std::size_t>(slot) * iline_words_;
   for (u32 w = 0; w < iline_words_; ++w) {
-    const u32 word = static_cast<u32>(line_read(line, w * 4, 4));
+    const u32 word = static_cast<u32>(read_be(line + w * 4, 4));
     const isa::Instruction& ins = predecode_.lookup(word);
     imirror_ins_[base + w] = ins;
-    // The line-tier token: the inline ALU ops (immediate forms resolved
-    // into their twin token, sethi's constant pre-shifted), Bicc with
-    // cond/annul/displacement folded in, execute() for the rest.
+    // The line-tier token: the inline ALU and memory ops (immediate forms
+    // resolved into their twin token, sethi's constant pre-shifted), Bicc
+    // with cond/annul/displacement folded in, execute() for the rest.
     LineOp& o = imirror_ops_[base + w];
     o = LineOp{};
     if (ins.mn == Mnemonic::kBicc) {
@@ -153,16 +142,21 @@ void LeonPipeline::predecode_line(u32 slot, Addr line_addr, const u8* line) {
       o.imm = static_cast<u32>(ins.disp) << 2;
       continue;
     }
-    o.kind = alu_token(ins.mn);
-    if (o.kind == kOpExecute) continue;
+    o.kind = line_token(ins.mn);
+    // An odd-rd ldd/std raises illegal_instruction: execute()'s business.
+    if (o.kind == kOpExecute ||
+        ((o.kind == kOp_ldd || o.kind == kOp_std) && (ins.rd & 1u))) {
+      o.kind = kOpExecute;
+      continue;
+    }
     o.a = ins.rs1;
     o.b = ins.rs2;
     o.d = ins.rd;
     if (o.kind == kOp_sethi) {
-      o.kind = static_cast<u8>(kOpAluImmBase + o.kind);
+      o.kind = static_cast<u8>(kOpImmBase + o.kind);
       o.imm = ins.imm22 << 10;
     } else if (ins.imm) {
-      o.kind = static_cast<u8>(kOpAluImmBase + o.kind);
+      o.kind = static_cast<u8>(kOpImmBase + o.kind);
       o.imm = static_cast<u32>(ins.simm13);
     }
   }
@@ -232,10 +226,10 @@ MemResult LeonPipeline::ifetch(
       return r;
     }
     if (fast_) predecode_line(out.slot, out.line_addr, out.data);
-    word = static_cast<u32>(line_read(out.data, pc - out.line_addr, 4));
+    word = static_cast<u32>(read_be(out.data + (pc - out.line_addr), 4));
     return r;
   }
-  word = static_cast<u32>(line_read(out.data, pc - out.line_addr, 4));
+  word = static_cast<u32>(read_be(out.data + (pc - out.line_addr), 4));
   return r;
 }
 
@@ -272,7 +266,7 @@ MemResult LeonPipeline::data_read(Addr addr, unsigned size) {
     // to the access() hit path below).
     const cache::HitRef h = dcache_.lookup_hit(addr);
     if (h.data != nullptr) {
-      r.value = line_read(h.data, addr & dline_mask_, size);
+      r.value = read_be(h.data + (addr & dline_mask_), size);
       return r;
     }
   }
@@ -298,7 +292,7 @@ MemResult LeonPipeline::data_read(Addr addr, unsigned size) {
       return r;
     }
   }
-  r.value = line_read(out.data, addr - out.line_addr, size);
+  r.value = read_be(out.data + (addr - out.line_addr), size);
   return r;
 }
 
@@ -329,7 +323,7 @@ MemResult LeonPipeline::data_write(Addr addr, unsigned size,
         return r;
       }
     }
-    line_write(out.data, addr - out.line_addr, size, value);
+    write_be(out.data + (addr - out.line_addr), size, value);
     stats_.dcache_stall += r.cycles;
     return r;
   }
@@ -339,7 +333,7 @@ MemResult LeonPipeline::data_write(Addr addr, unsigned size,
     const auto out = dcache_.access(addr, /*is_write=*/true);
     if (out.hit) {
       // Keep the resident line coherent with the memory write below.
-      line_write(out.data, addr - out.line_addr, size, value);
+      write_be(out.data + (addr - out.line_addr), size, value);
     }
   }
 
@@ -441,19 +435,17 @@ void LeonPipeline::on_retire(Mix kind) {
 
 StepResult LeonPipeline::step() {
   StepResult res;
-  step_into(res);
+  step_impl<true>(res);
   return res;
 }
-
-void LeonPipeline::step_into(StepResult& res) { step_impl<true>(res); }
 
 template <bool kCopyIns>
 void LeonPipeline::step_impl(StepResult& res) {
   // kCopyIns=false is the observerless run-loop body: nothing outside this
   // call reads `res` (the caller reuses one instance and never looks at
   // it), so the per-step result materialization and the observer dispatch
-  // are compiled out.  kCopyIns=true keeps the full step()/step_into()
-  // contract: a completely populated result, observer notified.
+  // are compiled out.  kCopyIns=true keeps the full step() contract: a
+  // completely populated result, observer notified.
   if constexpr (kCopyIns) {
     res.pc = st_.pc;
     res.raw = 0;
@@ -479,16 +471,7 @@ void LeonPipeline::step_impl(StepResult& res) {
   }
 
   if (irq_pending()) {
-    const u8 tt = static_cast<u8>(0x10 + (irq_level_ & 0xf));
-    Core::take_trap(*this, tt);
-    res.trapped = true;
-    res.tt = tt;
-    res.cycles = cfg_.cpu.trap_latency;
-    *clock_ += res.cycles;
-    stats_.cycles += res.cycles;
-    if constexpr (kCopyIns) {
-      if (obs_) obs_->on_step(res);
-    }
+    trap_step<kCopyIns>(static_cast<u8>(0x10 + (irq_level_ & 0xf)), 0, res);
     return;
   }
 
@@ -498,15 +481,8 @@ void LeonPipeline::step_impl(StepResult& res) {
   if (!ifetch_hot(st_.pc, word, pins)) [[unlikely]] {
     const MemResult f = ifetch(st_.pc, word, pins);
     if (!f.ok) {
-      Core::take_trap(*this, Core::tt_of(Trap::kInstructionAccess));
-      res.trapped = true;
-      res.tt = Core::tt_of(Trap::kInstructionAccess);
-      res.cycles = cfg_.cpu.trap_latency + f.cycles;
-      *clock_ += res.cycles;
-      stats_.cycles += res.cycles;
-      if constexpr (kCopyIns) {
-        if (obs_) obs_->on_step(res);
-      }
+      trap_step<kCopyIns>(Core::tt_of(Trap::kInstructionAccess), f.cycles,
+                          res);
       return;
     }
     fetch_stall = f.cycles;
@@ -523,6 +499,19 @@ void LeonPipeline::step_impl(StepResult& res) {
   }
   if constexpr (kCopyIns) res.ins = *pins;
   finish_step<kCopyIns>(*pins, fetch_stall, res);
+}
+
+template <bool kCopyIns>
+void LeonPipeline::trap_step(u8 tt, Cycles stall, StepResult& res) {
+  Core::take_trap(*this, tt);
+  res.trapped = true;
+  res.tt = tt;
+  res.cycles = cfg_.cpu.trap_latency + stall;
+  *clock_ += res.cycles;
+  stats_.cycles += res.cycles;
+  if constexpr (kCopyIns) {
+    if (obs_) obs_->on_step(res);
+  }
 }
 
 template <bool kCopyIns>
@@ -547,18 +536,15 @@ void LeonPipeline::finish_step(const Instruction& ins, Cycles fetch_stall,
   res.cycles = 1;
   const u8 tt = Core::execute(*this, ins, res);
   if (tt != Core::kNoTrap) [[unlikely]] {
-    Core::take_trap(*this, tt);
-    res.trapped = true;
-    res.tt = tt;
-    res.cycles = cfg_.cpu.trap_latency + fetch_stall;
-  } else {
-    res.cycles += fetch_stall;
-    const Addr new_pc = st_.npc;
-    const Addr new_npc = cti_taken_ ? cti_target_ : st_.npc + 4;
-    st_.pc = new_pc;
-    st_.npc = new_npc;
-    ++stats_.instructions;
+    trap_step<kCopyIns>(tt, fetch_stall, res);
+    return;
   }
+  res.cycles += fetch_stall;
+  const Addr new_pc = st_.npc;
+  const Addr new_npc = cti_taken_ ? cti_target_ : st_.npc + 4;
+  st_.pc = new_pc;
+  st_.npc = new_npc;
+  ++stats_.instructions;
   *clock_ += res.cycles;
   stats_.cycles += res.cycles;
   if constexpr (kCopyIns) {
@@ -607,17 +593,24 @@ u64 LeonPipeline::run_steps(const RunWindow& w) {
 //  - fetch: within the current line the streak re-hit (touch_read_hit),
 //    on a line change the lookup_hit probe (enter_line); a miss, poisoned
 //    line, or uncacheable PC takes the whole step through step_impl();
-//  - annulled slot, inline ALU/sethi op, or inline Bicc: the same state,
-//    latch, retire-counter, and cycle updates execute() and finish_step()
-//    make, with the ALU bodies from cpu/alu_ops.hpp;
+//  - annulled slot, inline ALU/sethi op, inline Bicc, or inline load or
+//    store: the same state, latch, retire-counter, and cycle updates
+//    execute() and finish_step() make, with the ALU and memory bodies from
+//    cpu/alu_ops.hpp.  A load that hits the D-cache reads the line in
+//    place; every other access makes execute()'s data_read()/data_write()
+//    call with the clock synced, and a failed one traps through
+//    trap_step(), the epilogue finish_step() uses;
 //  - every other instruction: finish_step() -> execute() on the mirrored
 //    decode, with the members synced first (the bus and write buffer read
 //    the clock);
 //  - wedge, deliverable interrupt: step_impl().
-// Inline ops cannot change the caches, CWP, error mode, the wedge, the
-// interrupt inputs, or the stop flag, so those are re-checked only after
-// the steps that can.  Only lines wholly at or above the PC fence and not
-// holding the halt PC run inline, so neither needs a per-op test either.
+// The ALU ops and D-cache read hits cannot change the caches, CWP, error
+// mode, the wedge, the interrupt inputs, or the stop flag, so those are
+// re-checked only after the steps that can: a bus access can raise the
+// stop flag, the wedge or an interrupt (after_bus re-checks them), and
+// execute() and trap entry can move anything (after_step).  Only lines
+// wholly at or above the PC fence and not holding the halt PC run inline,
+// so neither needs a per-op test either.
 // The mirror is valid exactly while the line is resident: every fill
 // re-digests its slot, so the I-cache's own fill, flush, and invalidate
 // events are the only invalidation there is.
@@ -646,16 +639,10 @@ u64 LeonPipeline::run_lines(const RunWindow& w) {
   u64 retired = 0;
   bool annul = annul_next_;
 
-  // Inline steps may run while n < n_stop: the step budget and the
-  // deadline folded into one bound, valid while every step costs one
-  // cycle (plain ops, annulled slots) and re-derived when one costs more
-  // or a non-inline step ran.  A window's first step always runs.
-  u64 n_stop = 0;
-  const auto set_stop = [&](Cycles min_left) {
-    const Cycles left = std::max(clk < deadline ? deadline - clk : 0,
-                                 min_left);
-    n_stop = left >= max_steps - n ? max_steps : n + left;
-  };
+  // An inline step runs while n < max_steps and clk < stop_clk, the
+  // deadline moved one cycle past the start when the window opens at or
+  // past it: a window's first step always runs.
+  const Cycles stop_clk = std::max(deadline, clk + 1);
 
   // The current line: the streak memo's slot while its generation holds
   // and the line may run inline.
@@ -678,7 +665,7 @@ u64 LeonPipeline::run_lines(const RunWindow& w) {
   };
   load_line();
 
-  // Branch-free operand access for the inline ALU handlers.
+  // Branch-free operand access for the inline handlers.
   sync_regmap();
   u32* const* const rp = rp_;
   u32* const* const wp = wp_;
@@ -711,13 +698,17 @@ u64 LeonPipeline::run_lines(const RunWindow& w) {
 #define LA_LT_BODY_IMM(name, mn, ...) &&lab_##name##_i_body,
   static const void* const kLabels[] = {
       LA_ALU_OPS(LA_LT_LABEL_REG)
+      LA_MEM_OPS(LA_LT_LABEL_REG)
       &&lab_execute, &&lab_bicc,
       LA_ALU_OPS(LA_LT_LABEL_IMM)
+      LA_MEM_OPS(LA_LT_LABEL_IMM)
   };
   static const void* const kBodies[] = {
       LA_ALU_OPS(LA_LT_BODY_REG)
+      LA_MEM_OPS(LA_LT_BODY_REG)
       &&lab_execute_body, &&lab_bicc_body,
       LA_ALU_OPS(LA_LT_BODY_IMM)
+      LA_MEM_OPS(LA_LT_BODY_IMM)
   };
 #undef LA_LT_BODY_IMM
 #undef LA_LT_BODY_REG
@@ -744,10 +735,10 @@ u64 LeonPipeline::run_lines(const RunWindow& w) {
     if (annul) goto annulled;                      \
     LA_LT_JUMP();                                  \
   } while (0)
-// A handler's entry: the window check, then the streak re-hit.
-#define LA_LT_ENTRY(label)                 \
-  label:                                   \
-  if (n >= n_stop) goto out_sync;          \
+// A handler's entry: the window checks, then the streak re-hit.
+#define LA_LT_ENTRY(label)                               \
+  label:                                                 \
+  if (n >= max_steps || clk >= stop_clk) goto out_sync; \
   icache_.touch_read_hit(slot);
 
 #define LA_ALU_RD(v) (*wp[op->d] = (v))
@@ -775,13 +766,79 @@ u64 LeonPipeline::run_lines(const RunWindow& w) {
 #define LA_LT_ALU_IMM(name, mn, ...) \
   LA_LT_ALU(lab_##name##_i, op->imm, __VA_ARGS__)
 
+// The memory ops: execute()'s load/store tail for an aligned address (a
+// misaligned one takes lab_execute for its trap).  A D-cache read hit is
+// served from the line; every other access makes the timed call with the
+// members synced (the bus, the write buffer and the peripherals read the
+// clock; syncing the rest too keeps the locals dead across the call, as
+// on the execute path, so they stay in registers), a failure trapping
+// through data_fault and a success re-checking what the access may have
+// changed at after_bus.
+#define LA_MEM_RD(v) (*wp[op->d] = (v))
+#define LA_MEM_RD1(v) (*wp[op->d | 1] = (v))
+#define LA_MEM_RS (*rp[op->d])
+#define LA_MEM_RS1 (*rp[op->d | 1])
+#define LA_LT_MEM_EA(BEXPR, size)                \
+  const Addr ea = *rp[op->a] + (BEXPR);          \
+  if (ea & ((size) - 1)) goto lab_execute_body;  \
+  stepped = pc;
+#define LA_LT_MEM_RETIRE(counter) \
+  ++stats_.counter;               \
+  cti_taken_ = false;             \
+  pc = npc;                       \
+  npc += 4;                       \
+  ++n;                            \
+  ++retired;
+#define LA_LT_LOAD(label, BEXPR, size, extra, ...)                      \
+  LA_LT_ENTRY(label)                                                    \
+  label##_body : {                                                      \
+    LA_LT_MEM_EA(BEXPR, size)                                           \
+    const cache::HitRef h = cfg_.dcache_enabled ? dcache_.lookup_hit(ea) \
+                                                : cache::HitRef{};      \
+    if (h.data != nullptr) [[likely]] {                                 \
+      const u64 V = read_be(h.data + (ea & dline_mask_), size);         \
+      __VA_ARGS__;                                                      \
+      clk += 1 + cfg_.cpu.extra;                                        \
+      LA_LT_MEM_RETIRE(loads)                                           \
+      LA_LT_DISPATCH();                                                 \
+    }                                                                   \
+    LA_LT_SYNC_OUT();                                                   \
+    const MemResult r = data_read(ea, size);                            \
+    LA_LT_SYNC_IN();                                                    \
+    if (!r.ok) goto data_fault;                                         \
+    op = ops + ((pc & line_mask) >> 2); /* not kept across the call */  \
+    const u64 V = r.value;                                              \
+    __VA_ARGS__;                                                        \
+    clk += 1 + cfg_.cpu.extra + r.cycles;                               \
+    LA_LT_MEM_RETIRE(loads)                                             \
+    goto after_bus;                                                     \
+  }
+#define LA_LT_STORE(label, BEXPR, size, extra, ...)                     \
+  LA_LT_ENTRY(label)                                                    \
+  label##_body : {                                                      \
+    LA_LT_MEM_EA(BEXPR, size)                                           \
+    const u64 v = (__VA_ARGS__);                                        \
+    LA_LT_SYNC_OUT();                                                   \
+    const MemResult w = data_write(ea, size, v);                        \
+    LA_LT_SYNC_IN();                                                    \
+    if (!w.ok) goto data_fault;                                         \
+    clk += 1 + cfg_.cpu.extra + w.cycles;                               \
+    LA_LT_MEM_RETIRE(stores)                                            \
+    goto after_bus;                                                     \
+  }
+#define LA_LT_MEM_REG(name, mn, kind, size, extra, ...) \
+  LA_LT_##kind(lab_##name, *rp[op->b], size, extra, __VA_ARGS__)
+#define LA_LT_MEM_IMM(name, mn, kind, size, extra, ...) \
+  LA_LT_##kind(lab_##name##_i, op->imm, size, extra, __VA_ARGS__)
+
   if (max_steps == 0 || st.error_mode || pc == halt_pc) goto out;
   if (wedged_ || irq_pending()) goto slow;
-  set_stop(1);
   LA_LT_DISPATCH_ANNUL();
 
   LA_ALU_OPS(LA_LT_ALU_REG)
   LA_ALU_OPS(LA_LT_ALU_IMM)
+  LA_MEM_OPS(LA_LT_MEM_REG)
+  LA_MEM_OPS(LA_LT_MEM_IMM)
 
   LA_LT_ENTRY(lab_bicc)
 lab_bicc_body : {
@@ -810,7 +867,6 @@ lab_bicc_body : {
   ++n;
   ++clk;
   ++retired;
-  if (taken) set_stop(0);  // cti_extra: the step cost more than a cycle
   LA_LT_DISPATCH_ANNUL();
 }
 
@@ -830,7 +886,7 @@ enter:
   // Line change: window check, then probe, re-digest a stale slot, and
   // re-point the memo; lines that may not run inline, and misses, take
   // the whole step through the per-step path.
-  if (n >= n_stop) goto out_sync;
+  if (n >= max_steps || clk >= stop_clk) goto out_sync;
   if (!hot_ifetch_ || !inline_line(pc & ~static_cast<Addr>(line_mask)) ||
       !enter_line(pc)) {
     if (pc == halt_pc) goto out_sync;
@@ -849,6 +905,25 @@ lab_execute_body:
   LA_LT_SYNC_IN();
   goto after_step;
 
+data_fault:
+  // A memory op's failed access (the members are synced, pc is still the
+  // op's): data_access through finish_step()'s trap epilogue.
+  cti_taken_ = false;
+  trap_step<false>(Core::tt_of(Trap::kDataAccess), 0, res);
+  LA_LT_SYNC_IN();
+  goto after_step;
+
+after_bus:
+  // A memory op's bus access may have raised the stop flag, the wedge or
+  // an interrupt (an APB access drains the timers): after_step's checks,
+  // in its order.  The rest cannot have moved: the op's line runs inline,
+  // so it is above the fence, and only trap entry sets error mode.
+  if (n >= max_steps || clk >= deadline || *stop || pc == halt_pc) {
+    goto out_sync;
+  }
+  if (wedged_ || irq_pending()) goto slow;
+  LA_LT_DISPATCH();
+
 slow:
   stepped = pc;
   LA_LT_SYNC_OUT();
@@ -866,7 +941,6 @@ after_step:
     goto out;
   }
   if (wedged_ || irq_pending()) goto slow;
-  set_stop(0);
   LA_LT_DISPATCH_ANNUL();
 
 out_sync:
@@ -875,6 +949,16 @@ out:
   last_run_pc_ = stepped;
   return n;
 
+#undef LA_LT_MEM_IMM
+#undef LA_LT_MEM_REG
+#undef LA_LT_STORE
+#undef LA_LT_LOAD
+#undef LA_LT_MEM_RETIRE
+#undef LA_LT_MEM_EA
+#undef LA_MEM_RS1
+#undef LA_MEM_RS
+#undef LA_MEM_RD1
+#undef LA_MEM_RD
 #undef LA_LT_ALU_IMM
 #undef LA_LT_ALU_REG
 #undef LA_LT_ALU

@@ -14,9 +14,9 @@
 // tests/property/cpu_equivalence_test.cpp runs random programs through
 // both models and requires identical architectural state, which holds the
 // timed memory path, the line tier, and step/trap sequencing to the
-// reference.  The line tier's inline ALU bodies (cpu/alu_ops.hpp) are
-// held to the core by the fast-vs-slow equivalence grid and the pipe-run
-// conformance leg.
+// reference.  The line tier's inline ALU and load/store bodies
+// (cpu/alu_ops.hpp) are held to the core by the fast-vs-slow equivalence
+// grid, the pipe-run conformance leg and the full-node fast-path tests.
 #pragma once
 
 #include <vector>
@@ -105,11 +105,6 @@ class LeonPipeline {
 
   void reset(Addr entry);
   StepResult step();
-  /// Hot-path form of step(): writes the result into `res` instead of
-  /// materializing a fresh StepResult.  Every field the step produces is
-  /// overwritten, but the paths that end before a decode (error mode, the
-  /// wedge, interrupt and fetch traps) leave `res.ins` untouched.
-  void step_into(StepResult& res);
   /// Step through one window (see RunWindow); returns the steps taken.
   /// Bit-identical to calling step() in a loop with the same checks.
   u64 run(const RunWindow& window);
@@ -217,6 +212,11 @@ class LeonPipeline {
   [[gnu::always_inline]] inline void finish_step(const isa::Instruction& ins,
                                                  Cycles fetch_stall,
                                                  StepResult& res);
+  /// A step that ends in trap `tt` (the epilogue of every trapping step,
+  /// the line tier's failed memory accesses included): trap entry, then
+  /// the trap latency plus `stall` on the clock.
+  template <bool kCopyIns>
+  void trap_step(u8 tt, Cycles stall, StepResult& res);
   /// run() with the fast paths on and no observer: the line tier (see
   /// docs/PERFORMANCE.md; needs computed goto).  run_steps() is the
   /// per-step reference loop.
@@ -263,13 +263,14 @@ class LeonPipeline {
   std::vector<Addr> imirror_addr_;
   std::vector<isa::Instruction> imirror_ins_;  // num_lines * words_per_line
   /// Line-tier token of each mirrored word (parallel to imirror_ins_): an
-  /// inline ALU op with its operands predigested, an inline Bicc, or
-  /// "execute" (everything else runs execute() on the mirrored decode).
+  /// inline ALU or memory op with its operands predigested, an inline
+  /// Bicc, or "execute" (everything else runs execute() on the mirrored
+  /// decode).
   struct LineOp {
     u8 kind = 0;  // dispatch token, see leon_pipeline.cpp
-    u8 a = 0;     // ALU: rs1 | Bicc: cond
-    u8 b = 0;     // ALU register form: rs2 | Bicc: annul bit
-    u8 d = 0;     // ALU: rd
+    u8 a = 0;     // ALU/memory: rs1 | Bicc: cond
+    u8 b = 0;     // ALU/memory register form: rs2 | Bicc: annul bit
+    u8 d = 0;     // ALU/memory: rd
     u32 imm = 0;  // simm13 | sethi imm22 << 10 | Bicc disp22 << 2
   };
   std::vector<LineOp> imirror_ops_;

@@ -29,7 +29,11 @@ void GateClient::pump_(double wait_ms) {
     bool got = false;
     while (auto bytes = link_.poll_recv()) {
       if (auto f = GateFrame::parse(*bytes)) {
-        inbox_[f->request_id] = std::move(*f);
+        // A result (pushed, polled, or a finished job's submit reply) is
+        // filed apart from the replies, so the kAccepted read in the same
+        // batch as its job's result survives for submit() to return.
+        auto& box = f->kind == GateKind::kResult ? results_ : inbox_;
+        box[f->request_id] = std::move(*f);
         got = true;
       }
     }
@@ -45,7 +49,13 @@ std::optional<GateFrame> GateClient::transact_(const GateFrame& req) {
     link_.send(wire);
     pump_(cfg_.resend_after_ms);
     const auto it = inbox_.find(req.request_id);
-    if (it == inbox_.end()) continue;  // lost somewhere: resend
+    if (it == inbox_.end()) {
+      // No reply, but the job may have finished: its result answers a
+      // submit too, and stays filed for await_result().
+      const auto done = results_.find(req.request_id);
+      if (done != results_.end()) return done->second;
+      continue;  // lost somewhere: resend
+    }
     if (it->second.kind == GateKind::kRetryAfter) {
       // Explicit backpressure: honor the hint (capped so a confused
       // hint cannot park the client), then try again.
@@ -83,10 +93,10 @@ std::optional<ResultWire> GateClient::await_result(u64 request_id) {
   const double deadline = steady_now_ms() + cfg_.op_timeout_ms;
   double next_poll_ms = steady_now_ms() + cfg_.resend_after_ms;
   while (steady_now_ms() < deadline) {
-    const auto it = inbox_.find(request_id);
-    if (it != inbox_.end() && it->second.kind == GateKind::kResult) {
+    const auto it = results_.find(request_id);
+    if (it != results_.end()) {
       const auto r = ResultWire::parse(it->second.payload);
-      inbox_.erase(it);
+      results_.erase(it);
       if (r && r->status != ResultWire::kPending) return r;
       // Still running (a poll answered before completion): keep waiting.
     }

@@ -69,14 +69,15 @@ class GateClient {
 
  private:
   /// Send `req` until a response with its request id arrives; honors
-  /// kRetryAfter, stashes unrelated kResult pushes for await_result().
+  /// kRetryAfter.  A reply wins over a result filed for the same id.
   std::optional<GateFrame> transact_(const GateFrame& req);
   void pump_(double wait_ms);  // poll the link, filing frames
 
   ClientConfig cfg_;
   UdpSocket sock_;
   WanLink link_;
-  std::unordered_map<u64, GateFrame> inbox_;  // request id -> last frame
+  std::unordered_map<u64, GateFrame> inbox_;    // request id -> last reply
+  std::unordered_map<u64, GateFrame> results_;  // request id -> last kResult
   u64 backoffs_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "common/bits.hpp"
 #include "common/hex.hpp"
 
 namespace la::mem {
@@ -21,10 +22,7 @@ Cycles BootRom::transfer(bus::AhbTransfer& t) {
       t.error = true;  // ROM: writes get an ERROR response
       return cycles + 2;
     }
-    const std::size_t o = a - base_;
-    u32 v = 0;
-    for (unsigned i = 0; i < t.beat_bytes; ++i) v = (v << 8) | data_[o + i];
-    t.data[b] = v;
+    t.data[b] = static_cast<u32>(read_be(&data_[a - base_], t.beat_bytes));
     cycles += 1 + read_wait_;
   }
   return cycles;
@@ -32,10 +30,7 @@ Cycles BootRom::transfer(bus::AhbTransfer& t) {
 
 bool BootRom::debug_read(Addr addr, unsigned size, u64& out) {
   if (addr < base_ || addr - base_ + size > data_.size()) return false;
-  const std::size_t o = addr - base_;
-  u64 v = 0;
-  for (unsigned i = 0; i < size; ++i) v = (v << 8) | data_[o + i];
-  out = v;
+  out = read_be(&data_[addr - base_], size);
   return true;
 }
 

@@ -24,6 +24,7 @@
 #include <span>
 #include <vector>
 
+#include "common/bits.hpp"
 #include "common/snapio.hpp"
 #include "common/types.hpp"
 
@@ -35,28 +36,24 @@ class PagedMemory {
 
   u32 size() const { return size_; }
 
-  /// Big-endian value of the `n` (<= 8) bytes at `off`.
+  /// Big-endian value of the `n` (1, 2, 4 or 8) bytes at `off`.
   u64 load_be(u32 off, unsigned n) const {
-    u64 v = 0;
-    if ((off & kPageMask) + n <= kPageBytes) {
-      const u8* p = rd_[off >> kPageBits] + (off & kPageMask);
-      for (unsigned i = 0; i < n; ++i) v = (v << 8) | p[i];
-    } else {
-      for (unsigned i = 0; i < n; ++i) v = (v << 8) | byte(off + i);
+    if ((off & kPageMask) + n <= kPageBytes) [[likely]] {
+      return read_be(rd_[off >> kPageBits] + (off & kPageMask), n);
     }
-    return v;
+    u8 buf[8];
+    read(off, {buf, n});
+    return read_be(buf, n);
   }
-  /// Store the low `n` (<= 8) bytes of `v` big-endian at `off`.
+  /// Store the low `n` (1, 2, 4 or 8) bytes of `v` big-endian at `off`.
   void store_be(u32 off, unsigned n, u64 v) {
-    if ((off & kPageMask) + n <= kPageBytes) {
-      u8* p = writable(off >> kPageBits) + (off & kPageMask);
-      for (unsigned i = 0; i < n; ++i) p[i] = static_cast<u8>(v >> (8 * (n - 1 - i)));
-    } else {
-      for (unsigned i = 0; i < n; ++i) {
-        writable((off + i) >> kPageBits)[(off + i) & kPageMask] =
-            static_cast<u8>(v >> (8 * (n - 1 - i)));
-      }
+    if ((off & kPageMask) + n <= kPageBytes) [[likely]] {
+      write_be(writable(off >> kPageBits) + (off & kPageMask), n, v);
+      return;
     }
+    u8 buf[8];
+    write_be(buf, n, v);
+    write(off, {buf, n});
   }
   /// Byte ranges; may span pages.  The caller bounds-checks.
   void read(u32 off, std::span<u8> out) const;
@@ -92,7 +89,6 @@ class PagedMemory {
  private:
   static constexpr u32 kPageMask = kPageBytes - 1;
 
-  u8 byte(u32 off) const { return rd_[off >> kPageBits][off & kPageMask]; }
   u8* writable(u32 page) {
     u8* p = wr_[page];
     return p != nullptr ? p : unshare(page);

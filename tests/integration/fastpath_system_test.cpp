@@ -1,10 +1,11 @@
 // Full-node fast-path equivalence: the window-driven run loop, the line
 // tier, and the CPU fast paths must be unobservable through the control
 // protocol — identical cycle counts on the Fig 8 cache sweep, identical
-// snapshot bytes and flight-recorder rings after the progs/ kernels, and
-// a program LOADed over a previously running one (restart → reload at
-// the same addresses) must execute the new bytes, not a stale predecoded
-// mirror.
+// cycles, snapshot bytes and flight-recorder rings after the progs/
+// kernels and after a program built to walk every branch of the line
+// tier's load/store handlers, and a program LOADed over a previously
+// running one (restart → reload at the same addresses) must execute the
+// new bytes, not a stale predecoded mirror.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -189,6 +190,7 @@ std::string slurp(const std::string& name) {
 struct KernelRun {
   Bytes snapshot;
   std::string flight;  // "" with the recorder off
+  u64 cycles = 0;
 };
 
 /// Boot, LOAD + START + await one kernel over the control protocol, then
@@ -204,20 +206,17 @@ KernelRun drive_kernel(const sasm::Image& img, bool fast, bool recorder) {
   KernelRun out;
   out.snapshot = node.snapshot().serialize();
   out.flight = node.take_flight_dump("fastpath_check");
+  out.cycles = node.cpu().stats().cycles;
   return out;
 }
 
-void check_kernel(const std::string& file, bool with_runtime) {
-  SCOPED_TRACE(file);
-  std::string src = slurp(file);
-  if (with_runtime) src += sasm::rt::runtime_source();
-  const auto img = sasm::assemble_or_throw(src);
-
+void check_image(const sasm::Image& img) {
   const KernelRun fast = drive_kernel(img, true, false);
   const KernelRun slow = drive_kernel(img, false, false);
   const KernelRun fast_rec = drive_kernel(img, true, true);
   const KernelRun slow_rec = drive_kernel(img, false, true);
 
+  EXPECT_EQ(fast.cycles, slow.cycles);
   // The recorder is host-side too: all four nodes snapshot identically.
   EXPECT_TRUE(fast.snapshot == slow.snapshot);
   EXPECT_TRUE(fast_rec.snapshot == fast.snapshot);
@@ -225,6 +224,13 @@ void check_kernel(const std::string& file, bool with_runtime) {
   ASSERT_FALSE(fast_rec.flight.empty());
   EXPECT_EQ(fast_rec.flight, slow_rec.flight);
   EXPECT_NE(fast_rec.flight.find("\"kind\":\"retire\""), std::string::npos);
+}
+
+void check_kernel(const std::string& file, bool with_runtime) {
+  SCOPED_TRACE(file);
+  std::string src = slurp(file);
+  if (with_runtime) src += sasm::rt::runtime_source();
+  check_image(sasm::assemble_or_throw(src));
 }
 
 TEST(FastPathSystem, Crc32SnapshotAndFlightRingIdentical) {
@@ -237,6 +243,160 @@ TEST(FastPathSystem, QuicksortSnapshotAndFlightRingIdentical) {
 
 TEST(FastPathSystem, StreamSnapshotAndFlightRingIdentical) {
   check_kernel("stream.s", false);
+}
+
+// SDRAM behind the adapter, and a store every few instructions: the write
+// buffer stalls.
+TEST(FastPathSystem, MemtestSnapshotAndFlightRingIdentical) {
+  check_kernel("memtest.s", false);
+}
+
+// Fig 7's smallest point: the stride misses the 1 KB D-cache on every
+// load.
+TEST(FastPathSystem, Fig7OneKbSnapshotAndFlightRingIdentical) {
+  ASSERT_EQ(config_for(true).pipeline.dcache.size_bytes, 1024u);
+  check_kernel("fig7.s", false);
+}
+
+// --- Every branch of the line tier's memory handlers ----------------------
+
+/// A load/store edge-case walk, run in passes so the first meets a cold
+/// D-cache and the rest hit, under a periodic timer interrupt armed by an
+/// APB store and first awaited by a poll loop that runs wholly in the
+/// line tier.  Each pass makes a misaligned ld and st, ldsb/ldsh of
+/// negative values, a load into %g0, ldd/std and an odd-rd ldd, sub-word
+/// stores, a timer read in the middle of an I-cache line (an APB access
+/// ends the node's run window), and a load and a store with no AHB slave
+/// behind them.  The five trapping ops go to `skip`, which counts them and
+/// returns past them.
+std::string memory_edges_program() {
+  std::string prog = R"(
+      .org 0x40000100
+  _start:
+      call rt_init
+      nop
+      set 300, %l2           ! outlast the START exchange, whose short
+  settle:                    ! pumps end run windows anyway
+      subcc %l2, 1, %l2
+      bne settle
+      nop
+      set data, %l0
+      set 0x80000200, %l5    ! APB timer
+      set 0x20000000, %l4    ! no AHB slave here
+      mov 0, %l7             ! checksum of what the loads saw
+      mov 24, %l6            ! passes
+      set 300, %l1
+      st %l1, [%l5]          ! counter
+      st %l1, [%l5 + 4]      ! reload
+      mov 7, %l1             ! enable | auto-reload | irq-enable
+      ba arm
+      nop
+      .align 32
+  arm:                       ! (a line's first op takes its I-cache miss
+      set ticks, %o0         ! off the line tier; the store is the third)
+      st %l1, [%l5 + 8]      ! the first interrupt is due in 300 cycles
+  wait:                      ! inline ops only until it lands: the store
+      ld [%o0], %o1          ! above must end the run window, or the
+      cmp %o1, 0             ! interrupt would wait for the next one
+      be wait
+      add %l7, 1, %l7        ! counts the polls
+  pass:
+      ld [%l0 + 2], %o1      ! misaligned: trap 0x07
+      st %l7, [%l0 + 6]      ! misaligned: trap 0x07
+      ldsb [%l0 + 8], %o2    ! 0x80 -> -128
+      ldsh [%l0 + 10], %o3   ! 0x8001 -> -32767
+      ldub [%l0 + 8], %o4
+      lduh [%l0 + 10], %o5
+      add %o2, %o3, %o2
+      add %o4, %o5, %o4
+      add %l7, %o2, %l7
+      add %l7, %o4, %l7
+      ld [%l0 + 12], %g0     ! %g0 stays zero
+      add %l7, %g0, %l7
+      ldd [%l0 + 16], %o2
+      add %o2, %o3, %o2
+      add %l7, %o2, %l7
+      std %o2, [%l0 + 24]
+      ldd [%l0 + 24], %o4
+      add %l7, %o5, %l7
+      ldd [%l0 + 16], %o3    ! odd rd: trap 0x02
+      stb %l7, [%l0 + 33]
+      sth %l7, [%l0 + 34]
+      ldub [%l0 + 33], %o1
+      lduh [%l0 + 34], %o2
+      add %l7, %o1, %l7
+      add %l7, %o2, %l7
+      ba apb
+      nop
+      .align 32
+  apb:
+      add %l7, 1, %l7
+      ld [%l5], %o4          ! timer counter, second op of its line
+      add %l7, %o4, %l7
+      st %l7, [%l4]          ! no slave: trap 0x09
+      ld [%l4], %o1          ! no slave: trap 0x09
+      subcc %l6, 1, %l6
+      bne pass
+      nop
+      st %g0, [%l5 + 8]      ! stop the timer
+      set sum, %o0
+      st %l7, [%o0]
+      jmp 0x40
+      nop
+
+  skip:                      ! count the trap, return past the op
+      set traps, %l3
+      ld [%l3], %l4
+      add %l4, 1, %l4
+      st %l4, [%l3]
+      jmp %l2
+      rett %l2 + 4
+
+  tick:                      ! timer interrupt (level 8)
+      set ticks, %l3
+      ld [%l3], %l4
+      add %l4, 1, %l4
+      st %l4, [%l3]
+      set 0x8000030c, %l3    ! irq controller: clear level 8
+      set 0x100, %l4
+      st %l4, [%l3]
+      jmp %l1
+      rett %l2
+
+      .align 8
+  data:
+      .word 0x01020304, 0x05060708, 0x80ff8001, 0x11111111
+      .word 0xfedcba98, 0x76543210, 0, 0
+      .word 0, 0
+  sum:
+      .word 0
+  traps:
+      .word 0
+  ticks:
+      .word 0
+  )";
+  sasm::rt::RuntimeOptions opt;
+  opt.custom_handlers[0x02] = "skip";
+  opt.custom_handlers[0x07] = "skip";
+  opt.custom_handlers[0x09] = "skip";
+  opt.custom_handlers[0x18] = "tick";
+  return prog + sasm::rt::runtime_source(opt);
+}
+
+TEST(FastPathSystem, MemoryEdgeCasesIdentical) {
+  const auto img = sasm::assemble_or_throw(memory_edges_program());
+  check_image(img);
+
+  // The walk did what it says: five traps a pass, interrupts taken.
+  sim::LiquidSystem node(config_for(true));
+  node.run(300);
+  ctrl::LiquidClient client(node);
+  ASSERT_TRUE(client.run_program(img, 50'000'000));
+  const auto words = client.read_memory(img.symbol("sum"), 3);
+  ASSERT_TRUE(words.has_value());
+  EXPECT_NE((*words)[0], 0u);
+  EXPECT_EQ((*words)[1], 5u * 24u);
+  EXPECT_GT((*words)[2], 1u);
 }
 
 }  // namespace

@@ -606,7 +606,8 @@ int check_bench_sim(const std::string& file, const std::string& text) {
   static const std::set<std::string> kModels = {
       "integer_unit", "leon_pipeline", "liquid_system",
       "liquid_system_flight"};
-  static const std::set<std::string> kWorkloads = {"alu_loop", "crc32"};
+  static const std::set<std::string> kWorkloads = {"alu_loop", "crc32",
+                                                    "stream"};
   // (model, workload, fast_paths) keys seen, for pairing.
   std::set<std::string> seen;
   std::size_t index = 0;
@@ -674,13 +675,14 @@ int check_bench_sim(const std::string& file, const std::string& text) {
 
   // Pairing: the pipeline and the node measured on the ALU loop with the
   // host fast paths both on and off, and the node likewise on the crc32
-  // kernel; the functional model, which has no fast tier, once.  (The
-  // flight-recorder variant exists only as a fast-path overhead row.)
+  // and stream kernels; the functional model, which has no fast tier,
+  // once.  (The flight-recorder variant exists only as a fast-path
+  // overhead row.)
   if (seen.count("integer_unit/alu_loop/slow") == 0) {
     return complain(file, "missing integer_unit/alu_loop/slow row");
   }
   for (const char* m : {"leon_pipeline/alu_loop", "liquid_system/alu_loop",
-                        "liquid_system/crc32"}) {
+                        "liquid_system/crc32", "liquid_system/stream"}) {
     for (const char* leg : {"/slow", "/fast"}) {
       if (seen.count(std::string(m) + leg) == 0) {
         return complain(file, std::string("missing ") + m + leg + " row");
