@@ -51,7 +51,6 @@ StepResult IntegerUnit::step() {
     res.tt = tt;
     res.cycles = cfg_.trap_latency;
     cycles_ += res.cycles;
-    if (obs_) obs_->on_step(res);
     return res;
   }
 
@@ -62,7 +61,6 @@ StepResult IntegerUnit::step() {
     res.tt = Core::tt_of(Trap::kInstructionAccess);
     res.cycles = cfg_.trap_latency;
     cycles_ += res.cycles;
-    if (obs_) obs_->on_step(res);
     return res;
   }
   res.raw = word;
@@ -75,7 +73,6 @@ StepResult IntegerUnit::step() {
     st_.npc += 4;
     res.cycles = 1;
     cycles_ += 1;
-    if (obs_) obs_->on_step(res);
     return res;
   }
 
@@ -93,7 +90,6 @@ StepResult IntegerUnit::step() {
     st_.npc = new_npc;
   }
   cycles_ += res.cycles;
-  if (obs_) obs_->on_step(res);
   return res;
 }
 

@@ -41,13 +41,13 @@ struct StepResult {
   bool mem_write = false;
   Addr mem_addr = 0;
   u8 mem_size = 0;
-};
 
-/// Observer for execution tracing (drives liquid::TraceAnalyzer).
-class ExecObserver {
- public:
-  virtual ~ExecObserver() = default;
-  virtual void on_step(const StepResult& r) = 0;
+  /// The step ran an instruction: it fetched one, stepped over an annulled
+  /// slot, or took a trap.  A cycle with no instruction in it (error mode,
+  /// a wedged CPU) leaves `ins` invalid, and an invalid word that does
+  /// execute always traps.  Per-instruction consumers (the trace stream, a
+  /// direct trace analyzer) see exactly these steps.
+  bool is_instruction() const { return trapped || annulled || ins.valid(); }
 };
 
 struct MemResult;
@@ -79,8 +79,6 @@ class IntegerUnit {
 
   Cycles cycle_count() const { return cycles_; }
 
-  void set_observer(ExecObserver* obs) { obs_ = obs; }
-
  private:
   friend struct SparcCore<IntegerUnit>;
 
@@ -110,7 +108,6 @@ class IntegerUnit {
   bool annul_next_ = false;
   u8 irq_level_ = 0;
   Cycles cycles_ = 0;
-  ExecObserver* obs_ = nullptr;
 
   // Set by execute() for control transfers: next npc after the delay slot.
   bool cti_taken_ = false;

@@ -441,11 +441,10 @@ StepResult LeonPipeline::step() {
 
 template <bool kCopyIns>
 void LeonPipeline::step_impl(StepResult& res) {
-  // kCopyIns=false is the observerless run-loop body: nothing outside this
-  // call reads `res` (the caller reuses one instance and never looks at
-  // it), so the per-step result materialization and the observer dispatch
-  // are compiled out.  kCopyIns=true keeps the full step() contract: a
-  // completely populated result, observer notified.
+  // kCopyIns=false is the run-loop body: nothing outside this call reads
+  // `res` (the caller reuses one instance and never looks at it), so the
+  // per-step result materialization is compiled out.  kCopyIns=true keeps
+  // the full step() contract: a completely populated result.
   if constexpr (kCopyIns) {
     res.pc = st_.pc;
     res.raw = 0;
@@ -509,9 +508,6 @@ void LeonPipeline::trap_step(u8 tt, Cycles stall, StepResult& res) {
   res.cycles = cfg_.cpu.trap_latency + stall;
   *clock_ += res.cycles;
   stats_.cycles += res.cycles;
-  if constexpr (kCopyIns) {
-    if (obs_) obs_->on_step(res);
-  }
 }
 
 template <bool kCopyIns>
@@ -526,9 +522,6 @@ void LeonPipeline::finish_step(const Instruction& ins, Cycles fetch_stall,
     ++stats_.annulled;
     *clock_ += res.cycles;
     stats_.cycles += res.cycles;
-    if constexpr (kCopyIns) {
-      if (obs_) obs_->on_step(res);
-    }
     return;
   }
 
@@ -547,9 +540,6 @@ void LeonPipeline::finish_step(const Instruction& ins, Cycles fetch_stall,
   ++stats_.instructions;
   *clock_ += res.cycles;
   stats_.cycles += res.cycles;
-  if constexpr (kCopyIns) {
-    if (obs_) obs_->on_step(res);
-  }
 }
 
 u64 LeonPipeline::run(u64 max_steps, Addr halt_pc) {
@@ -560,11 +550,9 @@ u64 LeonPipeline::run(u64 max_steps, Addr halt_pc) {
 }
 
 u64 LeonPipeline::run(const RunWindow& w) {
-  // The line tier needs the mirror (host fast paths), no observer (with
-  // one attached, every step's result must be materialized for it), and
-  // computed goto.
+  // The line tier needs the mirror (host fast paths) and computed goto.
 #if defined(__GNUC__) || defined(__clang__)
-  if (obs_ == nullptr && fast_) return run_lines(w);
+  if (fast_) return run_lines(w);
 #endif
   return run_steps(w);
 }

@@ -25,7 +25,7 @@
 #include "cache/cache.hpp"
 #include "common/types.hpp"
 #include "cpu/config.hpp"
-#include "cpu/integer_unit.hpp"  // StepResult + ExecObserver
+#include "cpu/integer_unit.hpp"  // StepResult
 #include "cpu/state.hpp"
 #include "isa/decode_cache.hpp"
 
@@ -122,7 +122,6 @@ class LeonPipeline {
   void reset_stats() { stats_ = PipelineStats{}; }
 
   void set_irq(u8 level) { irq_level_ = level; }
-  void set_observer(ExecObserver* obs) { obs_ = obs; }
 
   /// Fault injection: a wedged CPU burns cycles without fetching or
   /// retiring anything (clock-gating glitch / livelock).  The wedge holds
@@ -217,7 +216,7 @@ class LeonPipeline {
   /// the trap latency plus `stall` on the clock.
   template <bool kCopyIns>
   void trap_step(u8 tt, Cycles stall, StepResult& res);
-  /// run() with the fast paths on and no observer: the line tier (see
+  /// run() with the fast paths on: the line tier (see
   /// docs/PERFORMANCE.md; needs computed goto).  run_steps() is the
   /// per-step reference loop.
   u64 run_lines(const RunWindow& w);
@@ -317,7 +316,6 @@ class LeonPipeline {
   Addr cti_target_ = 0;
   Cycles wb_free_at_ = 0;  // when the write buffer can accept a new store
   Addr last_run_pc_ = 0;   // see last_run_pc()
-  ExecObserver* obs_ = nullptr;
 };
 
 }  // namespace la::cpu

@@ -35,12 +35,29 @@ std::string ClientError::to_string() const {
   return s;
 }
 
+namespace {
+
+/// Wait rounds granted to attempt 0; attempt k gets
+/// `kAwaitRounds << min(k, kBackoffCap)` (exponential backoff measured in
+/// simulated rounds, not host time).
+constexpr unsigned kAwaitRounds = 20;
+constexpr unsigned kBackoffCap = 3;
+/// Backoff jitter fraction: retry attempt k > 0 waits
+/// `rounds * (1 ± jitter * u)` with u uniform in [0, 1), drawn from a
+/// per-client RNG seeded with kJitterSeed — deterministic, but a client's
+/// retries do not fall on a fixed cadence (pure exponential backoff
+/// synchronizes).  Attempt 0 is never jittered.
+constexpr double kBackoffJitter = 0.25;
+constexpr u64 kJitterSeed = 0x6a177e12;
+
+}  // namespace
+
 LiquidClient::LiquidClient(sim::LiquidSystem& node, ClientConfig cfg)
     : node_(node),
       cfg_(cfg),
       up_(cfg.uplink),
       down_(cfg.downlink),
-      jitter_rng_(cfg.jitter_seed) {}
+      jitter_rng_(kJitterSeed) {}
 
 void LiquidClient::send_command(Bytes payload) {
   net::UdpDatagram d;
@@ -88,13 +105,12 @@ void LiquidClient::drain_downlink() {
 }
 
 unsigned LiquidClient::rounds_for_attempt(unsigned attempt) {
-  const unsigned shift = std::min(attempt, cfg_.backoff_cap);
-  const unsigned base = cfg_.await_rounds << shift;
-  if (attempt == 0 || cfg_.backoff_jitter <= 0.0) return base;
+  const unsigned shift = std::min(attempt, kBackoffCap);
+  const unsigned base = kAwaitRounds << shift;
+  if (attempt == 0) return base;
   // Symmetric jitter around the exponential schedule; deterministic under
-  // cfg_.jitter_seed so replays stay bit-identical, but clients with
-  // different seeds desynchronize their retry storms.
-  const double f = 1.0 + cfg_.backoff_jitter * (2.0 * jitter_rng_.unit() - 1.0);
+  // kJitterSeed so replays stay bit-identical.
+  const double f = 1.0 + kBackoffJitter * (2.0 * jitter_rng_.unit() - 1.0);
   return std::max(1u, static_cast<unsigned>(static_cast<double>(base) * f));
 }
 

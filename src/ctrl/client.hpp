@@ -31,23 +31,10 @@ struct ClientConfig {
   unsigned max_retries = 10;      // resends per command before giving up
   u64 pump_steps = 200;           // node instructions per wait round
   std::size_t load_chunk = 1024;  // bytes per Load-program packet
-  /// Wait rounds granted to attempt 0; attempt k gets
-  /// `await_rounds << min(k, backoff_cap)` (exponential backoff measured
-  /// in simulated rounds, not host time).
-  unsigned await_rounds = 20;
-  unsigned backoff_cap = 3;
   /// Per-command deadline in node steps; 0 disables.  Backoff stops
   /// growing once the deadline would be exceeded and the command fails
   /// with kDeadline.
   u64 deadline_steps = 4'000'000;
-  /// Backoff jitter fraction: retry attempt k > 0 waits
-  /// `rounds * (1 ± jitter * u)` with u uniform in [0, 1), drawn from a
-  /// per-client RNG seeded by `jitter_seed` — deterministic under the
-  /// seed, but many tenants with distinct seeds stop retrying in
-  /// lockstep (pure exponential backoff synchronizes).  Attempt 0 is
-  /// never jittered.  0 restores pure exponential backoff.
-  double backoff_jitter = 0.25;
-  u64 jitter_seed = 0x6a177e12;
   net::ChannelConfig uplink;    // client -> FPX
   net::ChannelConfig downlink;  // FPX -> client
 };
@@ -236,7 +223,7 @@ class LiquidClient {
   /// STATS_STREAM window counter: one id per stats_delta() call, shared
   /// by all of that call's retries (the idempotency key).
   u32 stream_seq_ = 0;
-  Rng jitter_rng_;  // backoff jitter; see ClientConfig::backoff_jitter
+  Rng jitter_rng_;  // backoff jitter; see rounds_for_attempt()
   u64 steps_this_command_ = 0;
   std::optional<u8> last_node_error_;
 };

@@ -10,6 +10,13 @@ namespace la::farm {
 
 namespace {
 
+/// Shared bitfile store capacity (count; 0 = unlimited).
+constexpr std::size_t kCacheCapacity = 0;
+/// Simulated seconds charged to the faulting node per retry, doubling
+/// with each attempt (capped at 16x) — the operator's pause before
+/// kicking hardware that just misbehaved.
+constexpr double kRetryBackoffSeconds = 0.05;
+
 double seconds_between(std::chrono::steady_clock::time_point a,
                        std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
@@ -30,7 +37,7 @@ const char* to_string(NodeHealth h) {
 }
 
 LiquidFarm::LiquidFarm(FarmConfig cfg)
-    : cfg_(std::move(cfg)), cache_(cfg_.cache_capacity), sched_(cfg_.scheduler) {
+    : cfg_(std::move(cfg)), cache_(kCacheCapacity), sched_(cfg_.scheduler) {
   if (cfg_.nodes == 0) cfg_.nodes = 1;
   liquid::ServerConfig server_cfg = cfg_.server;
   server_cfg.bridge_cache_metrics = false;  // bridged once, fleet-level
@@ -43,7 +50,11 @@ LiquidFarm::LiquidFarm(FarmConfig cfg)
     w->node = std::make_unique<sim::LiquidSystem>(node_cfg);
     w->server = std::make_unique<liquid::ReconfigurationServer>(
         *w->node, cache_, syn_, server_cfg);
-    if (cfg_.warm_start) w->server->set_warm_pool(&warm_pool_);
+    // One warm-start snapshot pool across the fleet's servers: the first
+    // node to boot an architecture (or load a program under it) donates a
+    // snapshot, and every later affinity miss restores it instead of
+    // simulating the boot / chunked network load.
+    w->server->set_warm_pool(&warm_pool_);
     w->current_key = w->server->current().key();
     if (cfg_.tracing) {
       const u32 pid = static_cast<u32>(i) + 1;  // process lane: node i
@@ -122,10 +133,8 @@ void LiquidFarm::drain() {
 
 void LiquidFarm::shutdown() {
   {
+    // Idempotent: a second call finds every thread already joined.
     const std::lock_guard<std::mutex> lk(mu_);
-    if (shutdown_) {
-      // Idempotent: threads were already told; fall through to join.
-    }
     shutdown_ = true;
     cv_work_.notify_all();
     cv_results_.notify_all();
@@ -296,8 +305,8 @@ void LiquidFarm::worker_loop(Worker& w) {
         // The operator's pause before the next attempt, doubling per
         // attempt: simulated time, charged to the node that faulted.
         const unsigned shift = std::min(job.attempts - 1, 4u);
-        w.busy_seconds += cfg_.retry_backoff_seconds *
-                          static_cast<double>(1u << shift);
+        w.busy_seconds +=
+            kRetryBackoffSeconds * static_cast<double>(1u << shift);
         if (jt.active()) {
           const double now = span_log_.now_us();
           jt.phase("retry", now, now, w.node->now(), w.node->now(),

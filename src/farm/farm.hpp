@@ -51,8 +51,6 @@ struct FarmConfig {
   /// Per-node system template; node_ip is bumped per node so frames in a
   /// debug dump say which machine they belong to.
   sim::SystemConfig node_template;
-  /// Shared bitfile store capacity (count; 0 = unlimited).
-  std::size_t cache_capacity = 0;
   /// When false, workers hold at a gate until start() — lets tests and
   /// benches submit a whole batch first so execution order is the plan.
   bool autostart = true;
@@ -71,15 +69,6 @@ struct FarmConfig {
   /// is quarantined and must pass a RESTART probe before taking work
   /// again.  0 disables retries (quarantine still happens).
   unsigned max_job_retries = 2;
-  /// Simulated seconds charged to the faulting node per retry, doubling
-  /// with each attempt (capped at 16x) — the operator's pause before
-  /// kicking hardware that just misbehaved.
-  double retry_backoff_seconds = 0.05;
-  /// Share one warm-start snapshot pool across the fleet's servers: the
-  /// first node to boot an architecture (or load a program under it)
-  /// donates a snapshot, and every later affinity miss restores it instead
-  /// of simulating the boot / chunked network load.
-  bool warm_start = true;
 };
 
 /// Worker-node health in the self-healing loop.  Healthy nodes take work;

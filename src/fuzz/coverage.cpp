@@ -20,14 +20,14 @@ void add_metric_features(CoverageSample& sample, const std::string& prefix,
   }
 }
 
-void CoverageObserver::on_step(const cpu::StepResult& r) {
+void add_step_features(CoverageSample& sample, const cpu::StepResult& r) {
   if (r.annulled) {
-    sample_.annulled_seen = true;
+    sample.annulled_seen = true;
     return;
   }
-  if (r.trapped) sample_.traps.set(r.tt);
+  if (r.trapped) sample.traps.set(r.tt);
   if (r.ins.valid()) {
-    sample_.mnemonics.set(static_cast<std::size_t>(r.ins.mn));
+    sample.mnemonics.set(static_cast<std::size_t>(r.ins.mn));
   }
 }
 

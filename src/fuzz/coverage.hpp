@@ -2,8 +2,8 @@
 //
 // Two feature families:
 //   * architectural bitmaps — which mnemonics retired, which trap types
-//     were taken, whether an annulled delay slot was observed.  Collected
-//     by CoverageObserver riding the functional model's observer slot.
+//     were taken, whether an annulled delay slot was observed.  Folded in
+//     step by step (add_step_features) as leg A steps the functional model.
 //   * metric buckets — every counter of a PR-1 MetricsRegistry snapshot,
 //     bucketed by power of two (the Histogram convention).  A program
 //     that pushes `cache.d.write_misses` from the 8-bucket into the
@@ -46,15 +46,9 @@ u32 metric_bucket_bit(double value);
 void add_metric_features(CoverageSample& sample, const std::string& prefix,
                          const metrics::Snapshot& snap);
 
-/// ExecObserver that fills the architectural bitmaps of a sample.
-class CoverageObserver final : public cpu::ExecObserver {
- public:
-  explicit CoverageObserver(CoverageSample& sample) : sample_(sample) {}
-  void on_step(const cpu::StepResult& r) override;
-
- private:
-  CoverageSample& sample_;
-};
+/// Fold one step's architectural features (retired mnemonic, trap type,
+/// annulled slot) into the sample's bitmaps.
+void add_step_features(CoverageSample& sample, const cpu::StepResult& r);
 
 /// Campaign-wide accumulated coverage.
 class CoverageMap {

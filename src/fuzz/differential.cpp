@@ -160,11 +160,13 @@ DiffOutcome DifferentialRunner::run_source(const std::string& source,
   cpu::FlatMemory flat(kMemSize, kMemBase);
   flat.load(img.base, img.data);
   cpu::IntegerUnit iu(acfg, flat);
-  CoverageObserver obs(out.coverage);
-  iu.set_observer(&obs);
   iu.reset(img.entry);
-  out.steps = iu.run(budget, done);
   const cpu::CpuState& a = iu.state();
+  // IntegerUnit::run()'s loop, folding each step into the coverage.
+  while (out.steps < budget && !a.error_mode && a.pc != done) {
+    add_step_features(out.coverage, iu.step());
+    ++out.steps;
+  }
 
   const bool halted = a.pc == done || a.error_mode;
   if (!halted) {
@@ -233,7 +235,9 @@ DiffOutcome DifferentialRunner::run_source(const std::string& source,
       // write-through.
       scfg.pipeline.dcache.write_policy =
           cache::WritePolicy::kWriteThroughNoAllocate;
-      scfg.flight_recorder = opt_.flight_recorder;
+      // A system-leg divergence comes with a post-mortem (recent retired
+      // PCs, traps, ctrl transitions) in DiffOutcome::flight_dump.
+      scfg.flight_recorder = true;
       sys_ = std::make_unique<sim::LiquidSystem>(scfg);
       sys_->run(300);  // let the boot ROM reach its polling loop
       post_boot_ = sys_->snapshot();
@@ -242,18 +246,15 @@ DiffOutcome DifferentialRunner::run_source(const std::string& source,
       // state the first one saw, without paying construction + boot again.
       const bool restored = sys_->restore(post_boot_);
       (void)restored;  // same config by construction; cannot mismatch
-      if (auto* fr = sys_->flight_recorder()) {
-        fr->clear();  // host-side ring is not snapshot state; no stale
-                      // events from the previous program in a post-mortem
-      }
+      // The host-side ring is not snapshot state: no stale events from
+      // the previous program in a post-mortem.
+      sys_->flight_recorder()->clear();
     }
     sim::LiquidSystem& node = *sys_;
     // A divergence report is only as good as its post-mortem: attach the
     // node's recent history whenever this leg is the one that failed.
     const auto black_box = [&](DiffOutcome& o) {
-      if (node.flight_recorder() != nullptr) {
-        o.flight_dump = node.take_flight_dump("divergence");
-      }
+      o.flight_dump = node.take_flight_dump("divergence");
     };
     ctrl::LiquidClient client(node);
     if (!client.run_program(img, opt_.system_max_steps)) {

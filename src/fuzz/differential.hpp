@@ -45,10 +45,6 @@ struct DiffOptions {
   /// Deliberate semantic fault in leg A (CpuConfig::quirk_subx_no_carry):
   /// the fuzzer's own end-to-end self-check.  See docs/TESTING.md.
   bool inject_subx_bug = false;
-  /// Arm leg C's flight recorder so a system-leg divergence comes with a
-  /// post-mortem (recent retired PCs, traps, ctrl transitions) in
-  /// DiffOutcome::flight_dump.  Costs a sampled ring write per retire.
-  bool flight_recorder = true;
 };
 
 struct DiffOutcome {
@@ -60,8 +56,8 @@ struct DiffOutcome {
   std::string detail;  // assembler errors, or the first mismatch
   CoverageSample coverage;
   u64 steps = 0;  // instructions the reference model retired
-  /// Flight-recorder JSON from leg C, captured when that leg diverged and
-  /// DiffOptions::flight_recorder was on; empty otherwise.
+  /// Flight-recorder JSON from leg C, captured when that leg diverged;
+  /// empty otherwise.
   std::string flight_dump;
 };
 

@@ -153,7 +153,10 @@ FaultRunResult FaultCampaign::run_one(const ProgramSpec& spec,
   scfg.pipeline.dcache.write_policy =
       cache::WritePolicy::kWriteThroughNoAllocate;
   scfg.watchdog_budget = cfg_.watchdog_budget;
-  scfg.flight_recorder = cfg_.flight_recorder;
+  // Detections and silent divergences come with a post-mortem JSON
+  // (FaultRunResult::flight_dump, and a .flight.json next to each silent
+  // repro).
+  scfg.flight_recorder = true;
   sim::LiquidSystem node(scfg);
   node.run(300);  // boot ROM to its polling loop
 
@@ -179,7 +182,6 @@ FaultRunResult FaultCampaign::run_one(const ProgramSpec& spec,
   // itself at the moment of the trip/error (tightest window around the
   // wedge PC); fall back to whatever the ring holds now.
   const auto black_box = [&](const char* reason) {
-    if (node.flight_recorder() == nullptr) return;
     res.flight_dump = node.last_flight_dump();
     if (res.flight_dump.empty()) res.flight_dump = node.take_flight_dump(reason);
   };

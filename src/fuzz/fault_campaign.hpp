@@ -51,10 +51,6 @@ struct FaultCampaignConfig {
   int program_chunks = 60;
   std::string out_dir = "lfuzz-faults-out";
   bool verbose = false;
-  /// Arm each node's flight recorder; detections and silent divergences
-  /// then come with a post-mortem JSON (FaultRunResult::flight_dump, and a
-  /// .flight.json next to each silent repro).
-  bool flight_recorder = true;
 };
 
 enum class FaultVerdict : u8 {
@@ -72,8 +68,8 @@ struct FaultRunResult {
   std::string detail;
   u64 faults_fired = 0;
   u64 faults_landed = 0;
-  /// Flight-recorder JSON captured for detected/silent verdicts when
-  /// FaultCampaignConfig::flight_recorder is on; empty otherwise.
+  /// Flight-recorder JSON captured for detected/silent verdicts; empty
+  /// otherwise.
   std::string flight_dump;
 };
 

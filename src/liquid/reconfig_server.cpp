@@ -7,6 +7,10 @@
 namespace la::liquid {
 namespace {
 
+/// Bitstream download rate over the network/SelectMap path — sets the
+/// reconfiguration latency (XCV2000E ~1.27 MB at ~5 MB/s: ~0.25 s).
+constexpr double kReprogramBytesPerSecond = 5e6;
+
 /// Content digest for the program-level warm-start pool key: two jobs share
 /// a post-LOAD snapshot only when bytes, base and entry all agree.
 std::string program_digest(const sasm::Image& img) {
@@ -138,7 +142,7 @@ JobResult ReconfigurationServer::run_job(const ArchConfig& arch,
     }
     r.reconfigured = true;
     r.reprogram_seconds = static_cast<double>(got.bitfile->size_bytes) /
-                          cfg_.reprogram_bytes_per_second;
+                          kReprogramBytesPerSecond;
     stats_.reprogram_seconds += r.reprogram_seconds;
     ++stats_.reconfigurations;
     current_ = arch;
@@ -164,7 +168,11 @@ JobResult ReconfigurationServer::run_job(const ArchConfig& arch,
         }
       });
     } else {
-      node_.cpu().set_observer(analyzer);
+      node_.set_step_hook([analyzer](const cpu::StepResult& s) {
+        if (s.is_instruction()) {
+          analyzer->ingest(net::TraceRecord::from_step(s));
+        }
+      });
     }
   }
   // With a pool attached the load/start/await sequence is decomposed so the
@@ -211,7 +219,7 @@ JobResult ReconfigurationServer::run_job(const ArchConfig& arch,
       client.drain_downlink();
       node_.disable_trace_stream();
     } else {
-      node_.cpu().set_observer(nullptr);
+      node_.set_step_hook({});
     }
   }
   if (!ran) {

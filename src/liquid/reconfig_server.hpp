@@ -16,12 +16,11 @@
 namespace la::liquid {
 
 struct ServerConfig {
-  /// Bitstream download rate over the network/SelectMap path — sets the
-  /// reconfiguration latency (XCV2000E ~1.27 MB at ~5 MB/s: ~0.25 s).
-  double reprogram_bytes_per_second = 5e6;
   /// When true, profiled runs collect their trace over the network (the
   /// node streams instrumented-trace datagrams to the analysis host, the
-  /// paper's Fig 2 path) instead of probing the pipeline directly.
+  /// paper's Fig 2 path) instead of reading the node's steps directly
+  /// through its step hook.  The datagrams are node traffic: they count in
+  /// the node's `wrappers.*` metrics.
   bool stream_traces = false;
   /// Bridge the reconfiguration cache's stats into the node's registry.
   /// A farm shares one cache across many nodes and bridges it once at
@@ -78,9 +77,10 @@ class ReconfigurationServer {
   ~ReconfigurationServer();
 
   /// Run `program` under `arch`, reading `result_words` words back from
-  /// `result_addr` afterwards.  An optional analyzer traces the run; an
-  /// active JobTrace gets a span per phase (synthesis, reconfigure, and —
-  /// via the control client — load, run, readback).
+  /// `result_addr` afterwards.  An optional analyzer traces the run (fed
+  /// directly, it takes the node's step hook for the job); an active
+  /// JobTrace gets a span per phase (synthesis, reconfigure, and — via the
+  /// control client — load, run, readback).
   JobResult run_job(const ArchConfig& arch, const sasm::Image& program,
                     Addr result_addr, u16 result_words,
                     TraceAnalyzer* analyzer = nullptr,

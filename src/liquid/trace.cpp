@@ -6,10 +6,6 @@
 
 namespace la::liquid {
 
-void TraceAnalyzer::on_step(const cpu::StepResult& r) {
-  ingest(net::TraceRecord::from_step(r));
-}
-
 void TraceAnalyzer::ingest(const net::TraceRecord& t) {
   if (t.pc < focus_lo_ || t.pc > focus_hi_) return;
   if (t.annulled) {

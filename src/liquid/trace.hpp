@@ -2,18 +2,17 @@
 //
 // "Execution traces are analyzed to identify candidate portions of an
 // application whose performance could be improved through
-// reconfigurability."  The analyzer rides the pipeline's execution
-// observer, accumulates an instruction/memory profile, and recommends a
-// configuration from the pre-generated space: data working set drives the
-// D-cache size, code footprint the I-cache, and multiply density the
-// multiplier variant.
+// reconfigurability."  The analyzer ingests trace records — streamed from
+// the node as datagrams, or built from the node's step hook — accumulates
+// an instruction/memory profile, and recommends a configuration from the
+// pre-generated space: data working set drives the D-cache size, code
+// footprint the I-cache, and multiply density the multiplier variant.
 #pragma once
 
 #include <map>
 #include <unordered_set>
 #include <vector>
 
-#include "cpu/integer_unit.hpp"  // StepResult / ExecObserver
 #include "liquid/arch_config.hpp"
 #include "net/trace_stream.hpp"
 
@@ -44,15 +43,11 @@ struct TraceReport {
   }
 };
 
-class TraceAnalyzer final : public cpu::ExecObserver {
+class TraceAnalyzer {
  public:
-  TraceAnalyzer() = default;
-
-  /// Direct observation (analyzer attached to the pipeline).
-  void on_step(const cpu::StepResult& r) override;
-
-  /// Network-streamed observation: one wire record (the paper streams
-  /// instrumented traces over the network to the Trace Analyzer).
+  /// One instruction step's record: off the wire (the paper streams
+  /// instrumented traces over the network to the Trace Analyzer), or
+  /// TraceRecord::from_step() of a node step, fed directly.
   void ingest(const net::TraceRecord& t);
 
   /// Restrict profiling to PCs in [lo, hi] — the application, not the boot

@@ -2,12 +2,13 @@
 // facilitates ... the streaming of instrumented traces to the Trace
 // Analyzer").
 //
-// The node-side TraceStreamer rides the pipeline's execution observer,
-// packs compact per-instruction records, and emits them as UDP datagrams
-// through the packet generator whenever a batch fills.  The host side
-// parses datagrams back into records.  The wire format is deliberately
-// tolerant of UDP loss: every record is self-contained and datagrams
-// carry a sequence number so the receiver can report gaps.
+// The node-side TraceStreamer is fed every instruction step by
+// LiquidSystem::step(), packs compact per-instruction records, and emits
+// them as UDP datagrams through the packet generator whenever a batch
+// fills.  The host side parses datagrams back into records.  The wire
+// format is deliberately tolerant of UDP loss: every record is
+// self-contained and datagrams carry a sequence number so the receiver
+// can report gaps.
 //
 // Record wire format (9 bytes, big-endian):
 //   u32 pc
@@ -21,7 +22,7 @@
 #include <optional>
 #include <vector>
 
-#include "cpu/integer_unit.hpp"  // StepResult / ExecObserver
+#include "cpu/integer_unit.hpp"  // StepResult
 #include "net/packet.hpp"
 
 namespace la::net {
@@ -53,7 +54,7 @@ struct TraceRecord {
 };
 
 /// Node side: batches records and emits trace datagrams.
-class TraceStreamer final : public cpu::ExecObserver {
+class TraceStreamer {
  public:
   /// `emit` ships a finished datagram payload (the system wires this to
   /// its packet generator / wrappers).  `batch` = records per datagram.
@@ -62,7 +63,8 @@ class TraceStreamer final : public cpu::ExecObserver {
   TraceStreamer(Emit emit, std::size_t batch = 100)
       : emit_(std::move(emit)), batch_(batch) {}
 
-  void on_step(const cpu::StepResult& r) override;
+  /// Append one step's record; a full batch goes out as a datagram.
+  void on_step(const cpu::StepResult& r);
 
   /// Force out a partial batch (end of run).
   void flush();

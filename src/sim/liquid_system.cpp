@@ -95,12 +95,18 @@ LiquidSystem::LiquidSystem(const SystemConfig& cfg)
     stream_prev_ = std::move(now);
     return Bytes(json.begin(), json.end());
   });
-  // FLIGHT_DUMP: freeze the ring on demand (error 0x42 when not armed —
-  // the provider is only wired once the recorder exists).
   ctrl_->set_state_observer([this](net::LeonState prev, net::LeonState next) {
     on_ctrl_transition(prev, next);
   });
-  if (cfg_.flight_recorder) enable_flight_recorder();
+  if (cfg_.flight_recorder) {
+    flight_ = std::make_unique<FlightRecorder>();
+    // FLIGHT_DUMP: freeze the ring on demand (error 0x42 when not armed —
+    // the provider is only wired when the recorder exists).
+    ctrl_->set_flight_provider([this] {
+      const std::string json = flight_->to_json("remote_dump", clock_, 0);
+      return Bytes(json.begin(), json.end());
+    });
+  }
 }
 
 void LiquidSystem::register_metrics() {
@@ -308,6 +314,7 @@ std::optional<Bytes> LiquidSystem::egress_frame() {
 cpu::StepResult LiquidSystem::step() {
   const Cycles before = clock_;
   const cpu::StepResult r = pipe_->step();
+  if (tracer_ && r.is_instruction()) tracer_->on_step(r);
   if (pipe_->state().error_mode && clock_ == before) {
     // A halted core (trap with ET=0) stops retiring but its clock tree
     // keeps running — the watchdog and timers must still see time pass.
@@ -399,28 +406,29 @@ bool LiquidSystem::run_batched(u64 max_steps, const net::LeonState* until) {
   return until != nullptr && ctrl_->state() == *until;
 }
 
-void LiquidSystem::run(u64 max_steps) {
-  // A CPU in error mode normally ends the run, but while the watchdog is
-  // armed time must keep flowing so the trip (and its error packet) can
-  // happen — that is the §4.1 recovery story.
-  if (!slow_run_path()) {
-    run_batched(max_steps, nullptr);
-    return;
-  }
+bool LiquidSystem::run_steps(u64 max_steps, const net::LeonState* until) {
   for (u64 i = 0; i < max_steps; ++i) {
+    if (until != nullptr && ctrl_->state() == *until) return true;
+    // A CPU in error mode normally ends the run, but while the watchdog is
+    // armed time must keep flowing so the trip (and its error packet) can
+    // happen — that is the §4.1 recovery story.
     if (pipe_->state().error_mode && !wdog_.armed()) break;
     step();
+  }
+  return until != nullptr && ctrl_->state() == *until;
+}
+
+void LiquidSystem::run(u64 max_steps) {
+  if (slow_run_path()) {
+    run_steps(max_steps, nullptr);
+  } else {
+    run_batched(max_steps, nullptr);
   }
 }
 
 bool LiquidSystem::run_until(net::LeonState state, u64 max_steps) {
-  if (!slow_run_path()) return run_batched(max_steps, &state);
-  for (u64 i = 0; i < max_steps; ++i) {
-    if (ctrl_->state() == state) return true;
-    if (pipe_->state().error_mode && !wdog_.armed()) return false;
-    step();
-  }
-  return ctrl_->state() == state;
+  return slow_run_path() ? run_steps(max_steps, &state)
+                         : run_batched(max_steps, &state);
 }
 
 void LiquidSystem::reconfigure(const cpu::PipelineConfig& pcfg) {
@@ -430,8 +438,6 @@ void LiquidSystem::reconfigure(const cpu::PipelineConfig& pcfg) {
   pipe_ = std::make_unique<cpu::LeonPipeline>(pcfg, bus_, &clock_,
                                               &map::cacheable);
   pipe_->reset(map::kRomBase);
-  // An active trace stream survives the new image.
-  if (tracer_) pipe_->set_observer(tracer_.get());
   job_trace_.phase("reconfigure", t0, job_trace_.now_us(), clock_, clock_);
 }
 
@@ -452,7 +458,6 @@ void LiquidSystem::enable_trace_stream(net::Ipv4Addr dst_ip, u16 dst_port,
         egress_.push_back(wrappers_.egress_frame(d));
       },
       batch);
-  pipe_->set_observer(tracer_.get());
 }
 
 void LiquidSystem::flush_trace_stream() {
@@ -462,21 +467,8 @@ void LiquidSystem::flush_trace_stream() {
 void LiquidSystem::disable_trace_stream() {
   if (tracer_) {
     tracer_->flush();
-    pipe_->set_observer(nullptr);
     tracer_.reset();
   }
-}
-
-FlightRecorder& LiquidSystem::enable_flight_recorder() {
-  if (!flight_) {
-    flight_ = std::make_unique<FlightRecorder>(cfg_.flight_capacity,
-                                               cfg_.flight_pc_sample);
-    ctrl_->set_flight_provider([this] {
-      const std::string json = flight_->to_json("remote_dump", clock_, 0);
-      return Bytes(json.begin(), json.end());
-    });
-  }
-  return *flight_;
 }
 
 std::string LiquidSystem::take_flight_dump(const std::string& reason) const {

@@ -55,13 +55,13 @@ struct SystemConfig {
   /// instead of the paper's modified mailbox-polling ROM.  Remote program
   /// start does not work in this mode — that is the point of Fig 5.
   bool use_original_boot = false;
-  /// Arm the black-box flight recorder at construction (equivalent to
-  /// calling enable_flight_recorder()).  Cheap enough to leave on: its
-  /// sample cadence is part of the run loop's step budget, and each event
-  /// is a few stores.
+  /// Arm the black-box flight recorder: every Nth step's PC, leon_ctrl
+  /// transitions, watchdog trips, injected-fault firings land in a fixed
+  /// ring (FlightRecorder's default size and sample rate).  It does NOT
+  /// force the per-step run path — the sample cadence bounds the run
+  /// loop's windows, and each event is a few stores, so it can stay on in
+  /// production.
   bool flight_recorder = false;
-  std::size_t flight_capacity = 4096;  // ring entries (rounds to 2^n)
-  u32 flight_pc_sample = 64;           // record every Nth step's PC
 };
 
 class LiquidSystem {
@@ -75,7 +75,9 @@ class LiquidSystem {
   std::optional<Bytes> egress_frame();
 
   // ---- time ----
-  /// One processor step; advances peripherals and drains responses.
+  /// One processor step; advances peripherals and drains responses.  An
+  /// instruction step (StepResult::is_instruction) goes to the trace
+  /// stream; every step, instruction or not, goes to the step hook.
   cpu::StepResult step();
   /// Run up to `max_steps` instructions.
   void run(u64 max_steps);
@@ -124,14 +126,14 @@ class LiquidSystem {
   }
 
   /// Stream instrumented execution traces to `dst` as UDP datagrams (the
-  /// paper's trace path to the Trace Analyzer).  Claims the pipeline's
-  /// observer slot.  `batch` = records per datagram.
+  /// paper's trace path to the Trace Analyzer): one record per
+  /// instruction step, so the node runs the per-step path while a stream
+  /// is on.  `batch` = records per datagram.
   void enable_trace_stream(net::Ipv4Addr dst_ip, u16 dst_port,
                            std::size_t batch = 100);
   /// Force out a partial trace batch (end of a measurement window).
   void flush_trace_stream();
   void disable_trace_stream();
-  const net::TraceStreamer* trace_streamer() const { return tracer_.get(); }
 
   // ---- observability ----
   /// The node-wide metrics registry.  Every component counter is bridged
@@ -153,12 +155,7 @@ class LiquidSystem {
   void set_job_trace(trace::JobTrace jt) { job_trace_ = jt; }
   const trace::JobTrace& job_trace() const { return job_trace_; }
 
-  /// Arm the black-box flight recorder: every Nth step's PC, leon_ctrl
-  /// transitions, watchdog trips, injected-fault firings land in a fixed
-  /// ring.  It does NOT force the per-step run path — the sample cadence
-  /// bounds the run loop's windows, and each event is a few stores, so it
-  /// can stay on in production.  Idempotent.
-  FlightRecorder& enable_flight_recorder();
+  /// The flight recorder (SystemConfig::flight_recorder), or null.
   FlightRecorder* flight_recorder() { return flight_.get(); }
 
   /// Freeze the ring into a JSON dump ("" when no recorder is armed).
@@ -188,10 +185,12 @@ class LiquidSystem {
   net::PacketGenerator& packet_generator() { return *pktgen_; }
   const SystemConfig& config() const { return cfg_; }
 
-  // ---- fault-injection hooks ----
+  // ---- per-step and fault-injection hooks ----
   /// Called after every step() with the step's result (clock already
-  /// advanced, control state already observed).  The fault engine uses it
-  /// for cycle/PC triggers.
+  /// advanced, control state already observed), including the cycles of a
+  /// halted or wedged core: the fault engine's cycle triggers need them.
+  /// A per-instruction consumer (a direct trace analyzer) keeps the steps
+  /// whose result is_instruction().  Arming it selects the per-step path.
   using StepHook = std::function<void(const cpu::StepResult&)>;
   void set_step_hook(StepHook h) {
     step_hook_ = std::move(h);
@@ -229,6 +228,8 @@ class LiquidSystem {
   /// hands the pipeline whole windows between peripheral events.  `until`
   /// null = run to the step budget.  Returns whether `until` was reached.
   bool run_batched(u64 max_steps, const net::LeonState* until);
+  /// The same contract one step() at a time: the slow_run_path() loop.
+  bool run_steps(u64 max_steps, const net::LeonState* until);
   /// The per-step path: fast paths off (the reference configuration), or
   /// anything armed that must see every step.
   bool slow_run_path() const {

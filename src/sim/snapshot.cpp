@@ -294,7 +294,6 @@ bool LiquidSystem::restore(const SystemSnapshot& snap, std::string* err) {
     cfg_.pipeline = pcfg;
     pipe_ = std::make_unique<cpu::LeonPipeline>(pcfg, bus_, &clock_,
                                                 &mem::map::cacheable);
-    if (tracer_) pipe_->set_observer(tracer_.get());
   }
 
   if (!r.expect(kSysTag)) {

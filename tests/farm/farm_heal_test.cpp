@@ -249,24 +249,5 @@ TEST(FarmHeal, ReportCarriesTheWarmPoolGauges) {
   EXPECT_LT(gauge("snapshot_pool.bytes"), kJobs * 64 * 1024);
 }
 
-TEST(FarmHeal, WarmStartOffRunsEveryLoad) {
-  FarmConfig fc;
-  fc.nodes = 1;
-  fc.warm_start = false;
-  LiquidFarm f(fc);
-
-  WorkloadGenerator gen(WorkloadConfig{});
-  const GeneratedJob g = gen.next();
-  ASSERT_TRUE(f.submit(g.job));
-  ASSERT_TRUE(f.submit(g.job));
-  f.drain();
-  const FarmReport rep = f.report();
-  EXPECT_EQ(rep.warm_starts, 0u);
-  while (auto out = f.try_pop_result()) {
-    EXPECT_TRUE(out->result.ok);
-    EXPECT_FALSE(out->result.warm_start);
-  }
-}
-
 }  // namespace
 }  // namespace la::farm

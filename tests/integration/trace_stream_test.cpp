@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "ctrl/client.hpp"
+#include "fault/injector.hpp"
 #include "isa/decode.hpp"
 #include "isa/encode.hpp"
 #include "liquid/trace.hpp"
@@ -142,6 +143,38 @@ TEST(TraceStream, SurvivesLossyDownlink) {
   EXPECT_GT(rx.lost_datagrams(), 0u);
   EXPECT_GT(analyzer.report().instructions, 50u);
   EXPECT_EQ(analyzer.report().dominant_stride, 128);
+}
+
+TEST(TraceStream, StreamsInstructionStepsOnly) {
+  // One record per instruction step (fetched, annulled or trapped), none
+  // for the cycles a wedged CPU burns without running an instruction.
+  sim::LiquidSystem node;
+  node.run(100);
+  node.enable_trace_stream(net::make_ip(10, 0, 0, 1), net::kTracePort, 10);
+  node.cpu().reset_stats();
+  fault::FaultPlan plan;
+  fault::FaultEvent wedge;
+  wedge.trigger.value = node.now() + 200;
+  wedge.action.site = fault::FaultSite::kCpuWedge;
+  wedge.action.arg = 500;  // cycles until the stall releases
+  plan.events.push_back(wedge);
+  {
+    fault::FaultInjector inj(node, plan);
+    node.run(2000);
+    ASSERT_TRUE(inj.all_fired());
+  }
+  ASSERT_FALSE(node.cpu().wedged());
+  node.flush_trace_stream();
+
+  net::TraceReceiver rx;
+  while (auto f = node.egress_frame()) {
+    const auto d = net::parse_udp_packet(*f);
+    if (d && d->dst_port == net::kTracePort) rx.ingest(d->payload);
+  }
+  const cpu::PipelineStats& st = node.cpu().stats();
+  EXPECT_EQ(rx.lost_datagrams(), 0u);
+  EXPECT_EQ(rx.records(), st.instructions + st.annulled + st.traps);
+  EXPECT_EQ(rx.records(), 1500u);  // 500 of the 2000 steps were wedged
 }
 
 TEST(TraceStream, DisableStopsEmission) {

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "ctrl/client.hpp"
+#include "liquid/reconfig_server.hpp"
 #include "liquid/trace.hpp"
 #include "sasm/assembler.hpp"
 #include "sim/liquid_system.hpp"
+#include "sim/snapshot.hpp"
 
 namespace la::liquid {
 namespace {
@@ -32,17 +34,35 @@ std::string walker(u32 bytes, u32 stride) {
   return s;
 }
 
+/// Feed `sys`'s instruction steps to `an` through the node's step hook,
+/// as ReconfigurationServer::run_job does without stream_traces.
+void attach(sim::LiquidSystem& sys, TraceAnalyzer& an) {
+  an.set_focus(0x40000000, 0x4fffffff);  // the application, not the boot ROM
+  sys.set_step_hook([&an](const cpu::StepResult& r) {
+    if (r.is_instruction()) an.ingest(net::TraceRecord::from_step(r));
+  });
+}
+
+/// Load and run `src` on `sys` over the control network.
+bool run_program(sim::LiquidSystem& sys, const std::string& src) {
+  ctrl::LiquidClient client(sys);
+  return static_cast<bool>(client.run_program(sasm::assemble_or_throw(src)));
+}
+
 TraceReport run_traced(const std::string& src, TraceAnalyzer& an) {
   sim::LiquidSystem sys;
   sys.run(100);
-  ctrl::LiquidClient client(sys);
-  const auto img = sasm::assemble_or_throw(src);
-  an.set_focus(0x40000000, 0x4fffffff);  // the application, not the boot ROM
-  sys.cpu().set_observer(&an);
-  const bool ok = static_cast<bool>(client.run_program(img));
-  sys.cpu().set_observer(nullptr);
-  EXPECT_TRUE(ok);
+  attach(sys, an);
+  EXPECT_TRUE(run_program(sys, src));
+  sys.set_step_hook({});
   return an.report();
+}
+
+/// The paper's baseline with the 4 KB D-cache.
+cpu::PipelineConfig dcache_4k() {
+  ArchConfig a = ArchConfig::paper_baseline();
+  a.dcache_bytes = 4096;
+  return a.to_pipeline();
 }
 
 TEST(Trace, CountsInstructionsAndMemoryOps) {
@@ -106,6 +126,75 @@ TEST(Trace, ResetClearsEverything) {
   EXPECT_EQ(t.instructions, 0u);
   EXPECT_EQ(t.data_working_set_bytes, 0u);
   EXPECT_TRUE(t.hot_pcs.empty());
+}
+
+// The tap is the node's, so it outlives the pipeline a reconfiguration
+// replaces.
+TEST(Trace, StepHookSurvivesReconfigure) {
+  sim::LiquidSystem sys;
+  sys.run(100);
+  TraceAnalyzer an;
+  attach(sys, an);
+  sys.reconfigure(dcache_4k());
+  sys.run(100);  // the fresh boot reaches its polling loop
+  ASSERT_EQ(sys.cpu().dcache().config().size_bytes, 4096u);
+  EXPECT_TRUE(run_program(sys, walker(256, 4)));
+  sys.set_step_hook({});
+  EXPECT_GT(an.report().instructions, 300u);
+}
+
+// ... and the pipeline a restore rebuilds to adopt the snapshot's
+// micro-architecture.
+TEST(Trace, StepHookSurvivesRestore) {
+  sim::SystemConfig donor_cfg;
+  donor_cfg.pipeline = dcache_4k();
+  sim::LiquidSystem donor(donor_cfg);
+  donor.run(100);
+  const sim::SystemSnapshot snap = donor.snapshot();
+
+  sim::LiquidSystem sys;
+  sys.run(100);
+  TraceAnalyzer an;
+  attach(sys, an);
+  ASSERT_TRUE(sys.restore(snap));
+  ASSERT_EQ(sys.cpu().dcache().config().size_bytes, 4096u);
+  EXPECT_TRUE(run_program(sys, walker(256, 4)));
+  sys.set_step_hook({});
+  EXPECT_GT(an.report().instructions, 300u);
+}
+
+// run_job profiles a job through the node's step hook, or (stream_traces)
+// from the trace datagrams the node sends: the same profile either way.
+TEST(Trace, DirectAndStreamedFeedsAgree) {
+  const auto img = sasm::assemble_or_throw(walker(4096, 32));
+  const auto profile = [&](bool stream) {
+    sim::LiquidSystem node;
+    node.run(100);
+    SynthesisModel syn;
+    ReconfigurationCache cache;
+    ServerConfig scfg;
+    scfg.stream_traces = stream;
+    ReconfigurationServer server(node, cache, syn, scfg);
+    TraceAnalyzer an;
+    const JobResult r =
+        server.run_job(ArchConfig::paper_baseline(), img, 0, 0, &an);
+    EXPECT_TRUE(r.ok) << r.error;
+    return an.report();
+  };
+  const TraceReport direct = profile(false);
+  const TraceReport streamed = profile(true);
+  EXPECT_GT(direct.instructions, 300u);
+  EXPECT_EQ(direct.instructions, streamed.instructions);
+  EXPECT_EQ(direct.annulled, streamed.annulled);
+  EXPECT_EQ(direct.loads, streamed.loads);
+  EXPECT_EQ(direct.stores, streamed.stores);
+  EXPECT_EQ(direct.multiplies, streamed.multiplies);
+  EXPECT_EQ(direct.divides, streamed.divides);
+  EXPECT_EQ(direct.traps, streamed.traps);
+  EXPECT_EQ(direct.data_working_set_bytes, streamed.data_working_set_bytes);
+  EXPECT_EQ(direct.code_footprint_bytes, streamed.code_footprint_bytes);
+  EXPECT_EQ(direct.dominant_stride, streamed.dominant_stride);
+  EXPECT_EQ(direct.hot_pcs, streamed.hot_pcs);
 }
 
 TEST(Trace, HotPcRankingIsDeterministicOnCountTies) {
