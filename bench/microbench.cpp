@@ -10,7 +10,6 @@
 #include "cpu/leon_pipeline.hpp"
 #include "ctrl/client.hpp"
 #include "isa/decode.hpp"
-#include "isa/decode_cache.hpp"
 #include "mem/sram.hpp"
 #include "net/packet.hpp"
 #include "sasm/assembler.hpp"
@@ -51,23 +50,6 @@ void BM_Decode(benchmark::State& state) {
 }
 BENCHMARK(BM_Decode);
 
-void BM_DecodeCached(benchmark::State& state) {
-  // Same inputs as BM_Decode, through the word-keyed predecode cache the
-  // CPU models use on their hot fetch paths.  4096 words into 2048 slots
-  // keeps a realistic (non-zero) miss rate.
-  Rng rng(1);
-  std::vector<u32> words(4096);
-  for (auto& w : words) w = rng.next_u32();
-  isa::DecodeCache cache;
-  for (u32 w : words) benchmark::DoNotOptimize(cache.lookup(w));
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.lookup(words[i++ & 4095]));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DecodeCached);
-
 void BM_IntegerUnitStep(benchmark::State& state) {
   const auto img = sasm::assemble_or_throw(kLoop);
   cpu::FlatMemory mem(1 << 16);
@@ -82,8 +64,6 @@ void BM_IntegerUnitStep(benchmark::State& state) {
 }
 BENCHMARK(BM_IntegerUnitStep);
 
-bool everything_cacheable(Addr) { return true; }
-
 void BM_PipelineStep(benchmark::State& state) {
   const auto img = sasm::assemble_or_throw(kLoop);
   mem::Sram sram(0, 1 << 16);
@@ -92,7 +72,7 @@ void BM_PipelineStep(benchmark::State& state) {
   bus.attach(0, 1 << 16, &sram);
   Cycles clock = 0;
   cpu::LeonPipeline pipe(cpu::PipelineConfig{}, bus, &clock,
-                         &everything_cacheable);
+                         cpu::Cacheable::kEverything);
   pipe.reset(img.entry);
   for (auto _ : state) {
     benchmark::DoNotOptimize(pipe.step());
@@ -140,7 +120,7 @@ void BM_LeonPipeline_MIPS(benchmark::State& state) {
   bus.attach(0, 1 << 16, &sram);
   Cycles clock = 0;
   cpu::LeonPipeline pipe(cpu::PipelineConfig{}, bus, &clock,
-                         &everything_cacheable);
+                         cpu::Cacheable::kEverything);
   pipe.reset(img.entry);
   u64 instructions = 0;
   for (auto _ : state) {

@@ -6,12 +6,14 @@
 // tier.  The functional model has no fast tier, so it gets one row, with
 // `fast_paths: false`.
 //
-// Three workloads: `alu_loop`, a 5-instruction ALU/branch loop, on every
-// model; and two progs/ kernels looped forever on the full node:
+// Four workloads: `alu_loop`, a 5-instruction ALU/branch loop, on every
+// model; and three progs/ kernels looped forever on the full node:
 // `crc32`, progs/crc32.s (branchy, data-dependent, with a load per byte
-// and cycle-counter APB accesses per pass), and `stream`, progs/stream.s
-// (copy/scale/add/triad over three 1 KB arrays, so the 1 KB D-cache
-// misses and every store goes through the write buffer).
+// and cycle-counter APB accesses per pass), `stream`, progs/stream.s
+// (copy/scale/add/triad over three 1 KB arrays in SRAM, so the 1 KB
+// D-cache misses and every store goes through the write buffer), and
+// `memtest`, progs/memtest.s (walking patterns over 16 KB of SDRAM: every
+// store and line fill goes through the AHB/SDRAM adapter).
 //
 // Emits BENCH_sim.json (override with --out), one row per measurement.
 // Each row splits its --secs budget into five equal samples and records
@@ -55,8 +57,6 @@ namespace {
 using namespace la;
 
 using Clock = std::chrono::steady_clock;
-
-bool everything_cacheable(Addr) { return true; }
 
 /// The measured workload: an ALU/branch loop long enough to never finish
 /// inside a measurement budget, so every timed step is steady-state user
@@ -191,7 +191,7 @@ Row measure_leon_pipeline(bool fast, double secs) {
   bus::AhbBus bus;
   bus.attach(0, 1 << 16, &sram);
   Cycles clock = 0;
-  cpu::LeonPipeline pipe(cfg, bus, &clock, &everything_cacheable);
+  cpu::LeonPipeline pipe(cfg, bus, &clock, cpu::Cacheable::kEverything);
   pipe.reset(img.entry);
   return measure("leon_pipeline", fast, secs, [&](u64& instr, u64& cyc) {
     pipe.run(kChunk);
@@ -238,8 +238,8 @@ int usage() {
                "usage: sim_mips [--out FILE] [--secs N]\n"
                "  --out FILE   output JSON path (default BENCH_sim.json)\n"
                "  --secs N     wall-clock budget per measurement, seconds\n"
-               "               (default 1.0, split into %d samples; ten\n"
-               "               measurements total)\n",
+               "               (default 1.0, split into %d samples;\n"
+               "               twelve measurements total)\n",
                kSamples);
   return 2;
 }
@@ -272,7 +272,7 @@ int main(int argc, char** argv) {
   // the plain liquid_system row above.
   rows.push_back(measure_liquid_system(true, secs, /*flight_recorder=*/true));
   // Real kernels on the full node, fast paths off and on.
-  for (const char* kernel : {"crc32", "stream"}) {
+  for (const char* kernel : {"crc32", "stream", "memtest"}) {
     for (const bool fast : {false, true}) {
       rows.push_back(measure_liquid_system(fast, secs, false, kernel));
     }

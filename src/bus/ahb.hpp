@@ -128,6 +128,17 @@ class AhbBus {
   Cycles write_line(Master m, Addr addr, u32 line_bytes, const u8* line,
                     bool& error);
 
+  /// The statistics transfer() records for a transfer of `beats` beats
+  /// that reached its slave without error and cost `cycles`: the direct
+  /// paths that bypass transfer() for one slave (the pipeline's SRAM path)
+  /// count their transfers here.
+  void count_transfer(Master m, unsigned beats, Cycles cycles) {
+    AhbMasterStats& st = stats_.per_master[static_cast<int>(m)];
+    ++st.transfers;
+    st.beats += beats;
+    st.cycles += cycles;
+  }
+
   /// Slave whose range covers `addr`, or nullptr.
   AhbSlave* slave_at(Addr addr) const;
 

@@ -170,6 +170,34 @@ class Cache {
     return {};
   }
 
+  /// Hot-path twin of `access(addr, true)` under the write-through,
+  /// no-allocate policy (the caller checks the policy).  A resident line
+  /// gets access()'s hit updates (tick, LRU, write_hits) and `line` is
+  /// pointed at its storage for the caller's coherence write; an absent
+  /// one gets its miss updates (tick, gen, write_misses) and `line` is
+  /// null (write-around).  A resident but poisoned line returns false and
+  /// touches nothing: the caller falls back to access(), which recovers it.
+  [[gnu::always_inline]] bool write_through(Addr addr, u8*& line) {
+    const u32 set = (static_cast<u32>(addr) >> line_shift_) & set_mask_;
+    const u32 tag = static_cast<u32>(addr) >> tag_shift_;
+    Way* base = &ways_[static_cast<std::size_t>(set) * cfg_.ways];
+    for (u32 w = 0; w < cfg_.ways; ++w) {
+      Way& way = base[w];
+      if (way.valid && way.tag == tag) {
+        if (way.poisoned) return false;
+        way.lru = ++tick_;
+        ++stats_.write_hits;
+        line = slot_data(set * cfg_.ways + w);
+        return true;
+      }
+    }
+    ++tick_;
+    ++gen_;
+    ++stats_.write_misses;
+    line = nullptr;
+    return true;
+  }
+
   /// Content generation: bumped whenever the cache itself changes a
   /// resident line's identity or contents (fill, flush, invalidate,
   /// poison).  A caller that observed a lookup_hit at generation G may
@@ -187,6 +215,13 @@ class Cache {
   void touch_read_hit(u32 slot) {
     ways_[slot].lru = ++tick_;
     ++stats_.read_hits;
+  }
+  /// `k` > 0 re-hits of one slot in a row, under the same condition:
+  /// exactly the state k touch_read_hit(slot) calls leave.
+  void touch_read_hits(u32 slot, u64 k) {
+    tick_ += k;
+    ways_[slot].lru = tick_;
+    stats_.read_hits += k;
   }
 
   /// Snapshot support: full tag/LRU/parity/data/stats/replacement-RNG state.

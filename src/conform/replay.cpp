@@ -32,7 +32,6 @@ bool leg_from_name(const std::string& name, Leg& out) {
 
 namespace {
 
-bool all_cacheable(Addr) { return true; }
 
 /// What a leg produced; compared field-by-field against the vector.
 struct RunOutcome {
@@ -101,7 +100,7 @@ RunOutcome run_pipe(const TestVector& v, bool fast, bool run = false) {
   cpu::PipelineConfig pcfg;
   pcfg.cpu = v.cfg.cpu_config();
   pcfg.host_fast_paths = fast;
-  cpu::LeonPipeline pipe(pcfg, bus, &clock, &all_cacheable);
+  cpu::LeonPipeline pipe(pcfg, bus, &clock, cpu::Cacheable::kEverything);
   pipe.reset(v.pre.pc);
   apply_state(v.pre, pipe.state());
   for (const auto& [a, w] : v.pre.mem) sram.backdoor_write_word(a, w);

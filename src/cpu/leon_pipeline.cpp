@@ -52,11 +52,13 @@ u8 line_token(Mnemonic mn) {
 }  // namespace
 
 LeonPipeline::LeonPipeline(const PipelineConfig& cfg, bus::AhbBus& bus,
-                           Cycles* clock, CacheableFn cacheable)
+                           Cycles* clock, Cacheable cacheable,
+                           mem::DisconnectSwitch* sram)
     : cfg_(cfg),
       bus_(bus),
       clock_(clock),
-      cacheable_(cacheable),
+      cache_all_(cacheable == Cacheable::kEverything),
+      dsram_(cfg.host_fast_paths ? sram : nullptr),
       icache_(cfg.icache, /*seed=*/1),
       dcache_(cfg.dcache, /*seed=*/2),
       st_(cfg.cpu),
@@ -72,7 +74,11 @@ LeonPipeline::LeonPipeline(const PipelineConfig& cfg, bus::AhbBus& bus,
       fast_(cfg.host_fast_paths),
       hot_ifetch_(cfg.host_fast_paths && cfg.icache_enabled) {
   assert(cfg.cpu.valid() && cfg.icache.valid() && cfg.dcache.valid());
-  assert(clock != nullptr && cacheable != nullptr);
+  assert(clock != nullptr);
+  if (dsram_ != nullptr) {
+    dsram_base_ = dsram_->user_port().base();
+    dsram_size_ = dsram_->user_port().size();
+  }
   // Doubleword accesses must never straddle a line.
   assert(cfg.icache.line_bytes >= 8 && cfg.dcache.line_bytes >= 8);
 }
@@ -128,7 +134,7 @@ void LeonPipeline::predecode_line(u32 slot, Addr line_addr, const u8* line) {
   const std::size_t base = static_cast<std::size_t>(slot) * iline_words_;
   for (u32 w = 0; w < iline_words_; ++w) {
     const u32 word = static_cast<u32>(read_be(line + w * 4, 4));
-    const isa::Instruction& ins = predecode_.lookup(word);
+    const isa::Instruction ins = isa::decode(word);
     imirror_ins_[base + w] = ins;
     // The line-tier token: the inline ALU and memory ops (immediate forms
     // resolved into their twin token, sethi's constant pre-shifted), Bicc
@@ -175,7 +181,7 @@ void LeonPipeline::rebuild_regmap() {
   }
 }
 
-bool LeonPipeline::enter_line(Addr pc) {
+inline bool LeonPipeline::enter_line(Addr pc) {
   const cache::HitRef h = icache_.lookup_hit(pc);
   if (h.data == nullptr) return false;
   const Addr line = pc & ~static_cast<Addr>(iline_mask_);
@@ -193,13 +199,27 @@ bool LeonPipeline::enter_line(Addr pc) {
   return true;
 }
 
+inline bool LeonPipeline::ifetch_hot(Addr pc, u32& word,
+                                     const isa::Instruction*& predecoded) {
+  if (!hot_ifetch_) return false;
+  const Addr line = pc & ~static_cast<Addr>(iline_mask_);
+  if (line == last_iline_ && icache_.gen() == last_igen_) [[likely]] {
+    icache_.touch_read_hit(last_islot_);
+  } else if (!enter_line(pc)) {
+    return false;
+  }
+  predecoded = last_imirror_ + ((pc & iline_mask_) >> 2);
+  word = predecoded->raw;
+  return true;
+}
+
 MemResult LeonPipeline::ifetch(
     Addr pc, u32& word, const isa::Instruction*& /*predecoded*/) {
   // The predecoded pointer is never set here: a fill refreshes the mirror
   // and the *next* fetch of this pc hits ifetch_hot's mirror path, which
   // keeps this (cold) function free of the mirror-indexing arithmetic.
   MemResult r;
-  const bool cached = cfg_.icache_enabled && cacheable_(pc);
+  const bool cached = cfg_.icache_enabled && cacheable(pc);
   if (!cached) {
     u32 v = 0;
     bus::AhbTransfer t;
@@ -216,8 +236,8 @@ MemResult LeonPipeline::ifetch(
   const auto out = icache_.access(pc, /*is_write=*/false);
   if (!out.hit) {
     bool error = false;
-    r.cycles = bus_.fill_line(bus::Master::kCpuInstr, out.line_addr,
-                              cfg_.icache.line_bytes, out.data, error);
+    r.cycles = fill_line(bus::Master::kCpuInstr, out.line_addr,
+                         cfg_.icache.line_bytes, out.data, error);
     stats_.icache_stall += r.cycles;
     if (error) {
       icache_.invalidate_line(pc);
@@ -233,9 +253,36 @@ MemResult LeonPipeline::ifetch(
   return r;
 }
 
+Cycles LeonPipeline::fill_line(bus::Master m, Addr line_addr, u32 line_bytes,
+                               u8* line, bool& error) {
+  Cycles c = 0;
+  if (direct_sram(line_addr, line_bytes) &&
+      dsram_->direct_fill(line_addr, line_bytes, line, c)) {
+    c += 1;  // the address phase
+    bus_.count_transfer(m, line_bytes / 4, c);
+    return c;
+  }
+  return bus_.fill_line(m, line_addr, line_bytes, line, error);
+}
+
 MemResult LeonPipeline::data_read(Addr addr, unsigned size) {
+  if (fast_ && cfg_.dcache_enabled) {
+    // Hot path: ordinary read hit (LRU/stats updated inside, identically
+    // to access()'s hit path).  Only a cacheable address can be resident,
+    // so the hit needs no cacheability test.
+    const cache::HitRef h = dcache_.lookup_hit(addr);
+    if (h.data != nullptr) {
+      MemResult r;
+      r.value = read_be(h.data + (addr & dline_mask_), size);
+      return r;
+    }
+  }
+  return data_read_miss(addr, size);
+}
+
+MemResult LeonPipeline::data_read_miss(Addr addr, unsigned size) {
   MemResult r;
-  const bool cached = cfg_.dcache_enabled && cacheable_(addr);
+  const bool cached = cfg_.dcache_enabled && cacheable(addr);
   if (!cached) {
     if (size == 8) {
       u32 buf[2] = {};
@@ -261,15 +308,6 @@ MemResult LeonPipeline::data_read(Addr addr, unsigned size) {
     return r;
   }
 
-  if (fast_) {
-    // Hot path: ordinary read hit (LRU/stats updated inside, identically
-    // to the access() hit path below).
-    const cache::HitRef h = dcache_.lookup_hit(addr);
-    if (h.data != nullptr) {
-      r.value = read_be(h.data + (addr & dline_mask_), size);
-      return r;
-    }
-  }
   const auto out = dcache_.access(addr, /*is_write=*/false);
   if (out.parity_discard) {
     // A poisoned dirty line lost the only copy of its data; fault.
@@ -283,8 +321,8 @@ MemResult LeonPipeline::data_read(Addr addr, unsigned size) {
   }
   if (out.fill) {
     bool error = false;
-    r.cycles += bus_.fill_line(bus::Master::kCpuData, out.line_addr,
-                               cfg_.dcache.line_bytes, out.data, error);
+    r.cycles += fill_line(bus::Master::kCpuData, out.line_addr,
+                          cfg_.dcache.line_bytes, out.data, error);
     stats_.dcache_stall += r.cycles;
     if (error) {
       dcache_.invalidate_line(addr);
@@ -299,7 +337,7 @@ MemResult LeonPipeline::data_read(Addr addr, unsigned size) {
 MemResult LeonPipeline::data_write(Addr addr, unsigned size,
                                                  u64 value) {
   MemResult r;
-  const bool cached = cfg_.dcache_enabled && cacheable_(addr);
+  const bool cached = cfg_.dcache_enabled && cacheable(addr);
   const bool write_back =
       cfg_.dcache.write_policy == cache::WritePolicy::kWriteBackAllocate;
 
@@ -315,8 +353,8 @@ MemResult LeonPipeline::data_write(Addr addr, unsigned size,
     if (out.fill) {
       // Write-allocate: fetch the line, then merge the store into it.
       bool error = false;
-      r.cycles += bus_.fill_line(bus::Master::kCpuData, out.line_addr,
-                                 cfg_.dcache.line_bytes, out.data, error);
+      r.cycles += fill_line(bus::Master::kCpuData, out.line_addr,
+                            cfg_.dcache.line_bytes, out.data, error);
       if (error) {
         dcache_.invalidate_line(addr);
         r.ok = false;
@@ -330,35 +368,20 @@ MemResult LeonPipeline::data_write(Addr addr, unsigned size,
 
   // Write-through (or uncached): the store goes on the bus.
   if (cached) {
-    const auto out = dcache_.access(addr, /*is_write=*/true);
-    if (out.hit) {
+    // The fast paths probe inline; a poisoned line (and the reference)
+    // takes access(), whose write-through hit exposes the line.
+    u8* line = nullptr;
+    if (!fast_ || !dcache_.write_through(addr, line)) {
+      line = dcache_.access(addr, /*is_write=*/true).data;
+    }
+    if (line != nullptr) {
       // Keep the resident line coherent with the memory write below.
-      write_be(out.data + (addr - out.line_addr), size, value);
+      write_be(line + (addr & dline_mask_), size, value);
     }
   }
 
-  Cycles bus_cost = 0;
   bool error = false;
-  if (size == 8) {
-    u32 buf[2] = {static_cast<u32>(value >> 32), static_cast<u32>(value)};
-    bus::AhbTransfer t;
-    t.addr = addr;
-    t.write = true;
-    t.beats = 2;
-    t.burst = bus::HBurst::kIncr;
-    t.data = buf;
-    bus_cost = bus_.transfer(bus::Master::kCpuData, t);
-    error = t.error;
-  } else {
-    u32 v = static_cast<u32>(value);
-    bus::AhbTransfer t;
-    t.addr = addr;
-    t.write = true;
-    t.beat_bytes = size;
-    t.data = &v;
-    bus_cost = bus_.transfer(bus::Master::kCpuData, t);
-    error = t.error;
-  }
+  const Cycles bus_cost = store_bus(addr, size, value, error);
   if (error) {
     r.ok = false;
     r.cycles = bus_cost;
@@ -380,6 +403,37 @@ MemResult LeonPipeline::data_write(Addr addr, unsigned size,
   r.cycles = stall;
   stats_.store_stall += stall;
   return r;
+}
+
+Cycles LeonPipeline::store_bus(Addr addr, unsigned size, u64 value,
+                               bool& error) {
+  if (direct_sram(addr, size)) {
+    const Cycles c = 1 + dsram_->direct_store(addr, size, value);
+    bus_.count_transfer(bus::Master::kCpuData, size == 8 ? 2 : 1, c);
+    return c;
+  }
+  Cycles bus_cost = 0;
+  if (size == 8) {
+    u32 buf[2] = {static_cast<u32>(value >> 32), static_cast<u32>(value)};
+    bus::AhbTransfer t;
+    t.addr = addr;
+    t.write = true;
+    t.beats = 2;
+    t.burst = bus::HBurst::kIncr;
+    t.data = buf;
+    bus_cost = bus_.transfer(bus::Master::kCpuData, t);
+    error = t.error;
+  } else {
+    u32 v = static_cast<u32>(value);
+    bus::AhbTransfer t;
+    t.addr = addr;
+    t.write = true;
+    t.beat_bytes = size;
+    t.data = &v;
+    bus_cost = bus_.transfer(bus::Master::kCpuData, t);
+    error = t.error;
+  }
+  return bus_cost;
 }
 
 // ---------------------------------------------------------------------------
@@ -489,12 +543,8 @@ void LeonPipeline::step_impl(StepResult& res) {
   if constexpr (kCopyIns) res.raw = word;
   isa::Instruction local;
   if (pins == nullptr) {
-    if (fast_) {
-      pins = &predecode_.lookup(word);
-    } else {
-      local = isa::decode(word);
-      pins = &local;
-    }
+    local = isa::decode(word);
+    pins = &local;
   }
   if constexpr (kCopyIns) res.ins = *pins;
   finish_step<kCopyIns>(*pins, fetch_stall, res);
@@ -578,16 +628,20 @@ u64 LeonPipeline::run_steps(const RunWindow& w) {
 // The line tier: run_steps() with the fetch and the hot instructions
 // threaded over the predecoded I-cache mirror.  Per step it does exactly
 // what step() does, in the same order:
-//  - fetch: within the current line the streak re-hit (touch_read_hit),
-//    on a line change the lookup_hit probe (enter_line); a miss, poisoned
-//    line, or uncacheable PC takes the whole step through step_impl();
+//  - fetch: within the current line the streak re-hit, counted in a local
+//    and applied as one touch_read_hits() before the next line change and
+//    before anything else runs (LA_LT_SYNC_OUT), so the I-cache's tick,
+//    LRU and stats are per-fetch accounting's whenever they can be read;
+//    on a line change the lookup_hit probe (enter_line, forced inline); a
+//    miss, poisoned line, or uncacheable PC takes the whole step through
+//    step_impl();
 //  - annulled slot, inline ALU/sethi op, inline Bicc, or inline load or
 //    store: the same state, latch, retire-counter, and cycle updates
 //    execute() and finish_step() make, with the ALU and memory bodies from
 //    cpu/alu_ops.hpp.  A load that hits the D-cache reads the line in
-//    place; every other access makes execute()'s data_read()/data_write()
-//    call with the clock synced, and a failed one traps through
-//    trap_step(), the epilogue finish_step() uses;
+//    place; a miss calls data_read_miss() (data_read() past its probe) and
+//    a store data_write(), each with the clock synced, and a failed access
+//    traps through trap_step(), the epilogue finish_step() uses;
 //  - every other instruction: finish_step() -> execute() on the mirrored
 //    decode, with the members synced first (the bus and write buffer read
 //    the clock);
@@ -626,6 +680,7 @@ u64 LeonPipeline::run_lines(const RunWindow& w) {
   Cycles clk = *clock_;
   u64 retired = 0;
   bool annul = annul_next_;
+  u64 ihits = 0;  // streak re-hits of `slot` not yet applied to the I-cache
 
   // An inline step runs while n < max_steps and clk < stop_clk, the
   // deadline moved one cycle past the start when the window opens at or
@@ -658,8 +713,16 @@ u64 LeonPipeline::run_lines(const RunWindow& w) {
   u32* const* const rp = rp_;
   u32* const* const wp = wp_;
 
+#define LA_LT_FLUSH_HITS()                  \
+  do {                                      \
+    if (ihits != 0) {                       \
+      icache_.touch_read_hits(slot, ihits); \
+      ihits = 0;                            \
+    }                                       \
+  } while (0)
 #define LA_LT_SYNC_OUT()            \
   do {                              \
+    LA_LT_FLUSH_HITS();             \
     st.pc = pc;                     \
     st.npc = npc;                   \
     stats_.cycles += clk - *clock_; \
@@ -727,7 +790,7 @@ u64 LeonPipeline::run_lines(const RunWindow& w) {
 #define LA_LT_ENTRY(label)                               \
   label:                                                 \
   if (n >= max_steps || clk >= stop_clk) goto out_sync; \
-  icache_.touch_read_hit(slot);
+  ++ihits;
 
 #define LA_ALU_RD(v) (*wp[op->d] = (v))
 #define LA_ALU_PSR st.psr
@@ -791,7 +854,7 @@ u64 LeonPipeline::run_lines(const RunWindow& w) {
       LA_LT_DISPATCH();                                                 \
     }                                                                   \
     LA_LT_SYNC_OUT();                                                   \
-    const MemResult r = data_read(ea, size);                            \
+    const MemResult r = data_read_miss(ea, size);                       \
     LA_LT_SYNC_IN();                                                    \
     if (!r.ok) goto data_fault;                                         \
     op = ops + ((pc & line_mask) >> 2); /* not kept across the call */  \
@@ -871,16 +934,21 @@ annulled_body:
   LA_LT_DISPATCH();
 
 enter:
-  // Line change: window check, then probe, re-digest a stale slot, and
-  // re-point the memo; lines that may not run inline, and misses, take
-  // the whole step through the per-step path.
+  // Line change: window check, apply the old line's streak, then the line
+  // entry (enter_line, forced inline: probe, re-digest a stale slot, point
+  // the memo at it) and the locals from the memo.  Lines that may not run
+  // inline, and misses, take the whole step through the per-step path.
   if (n >= max_steps || clk >= stop_clk) goto out_sync;
+  LA_LT_FLUSH_HITS();
   if (!hot_ifetch_ || !inline_line(pc & ~static_cast<Addr>(line_mask)) ||
       !enter_line(pc)) {
     if (pc == halt_pc) goto out_sync;
     goto slow;
   }
-  load_line();
+  cur_line = last_iline_;  // the memo enter_line just set, fresh
+  slot = last_islot_;
+  ops = last_iops_;
+  insns = last_imirror_;
   op = ops + ((pc & line_mask) >> 2);
   if (annul) goto annulled_body;
   LA_LT_JUMP_BODY();
@@ -960,6 +1028,7 @@ out:
 #undef LA_LT_JUMP
 #undef LA_LT_SYNC_IN
 #undef LA_LT_SYNC_OUT
+#undef LA_LT_FLUSH_HITS
 }
 #endif  // computed goto
 

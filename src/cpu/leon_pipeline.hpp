@@ -27,7 +27,8 @@
 #include "cpu/config.hpp"
 #include "cpu/integer_unit.hpp"  // StepResult
 #include "cpu/state.hpp"
-#include "isa/decode_cache.hpp"
+#include "mem/disconnect.hpp"
+#include "mem/memory_map.hpp"
 
 namespace la::cpu {
 
@@ -42,13 +43,13 @@ struct PipelineConfig {
   unsigned write_buffer_depth = 1;
 
   /// Host-performance switch (no effect on simulated cycles or state).
-  /// On, the pipeline takes its fast paths: the word-keyed decode cache
-  /// (never stale), the predecoded I-cache mirror, the cache-hit fast
-  /// paths and the line tier, and LiquidSystem its window-driven run loop
-  /// (docs/PERFORMANCE.md).  Off is the reference: isa::decode() on every
-  /// fetch and plain per-step loops.  The conformance legs, the
-  /// equivalence grids and the differential fuzzer run both settings
-  /// against each other.
+  /// On, the pipeline takes its fast paths: the predecoded I-cache mirror,
+  /// the cache-hit fast paths, the direct SRAM path and the line tier, and
+  /// LiquidSystem its window-driven run loop (docs/PERFORMANCE.md).  Off
+  /// is the reference: isa::decode() on every fetch, every memory access
+  /// over the full bus path, and plain per-step loops.  The conformance
+  /// legs, the equivalence grids and the differential fuzzer run both
+  /// settings against each other.
   bool host_fast_paths = true;
 };
 
@@ -88,20 +89,26 @@ struct RunWindow {
   Addr pc_fence = 0;
 };
 
-/// Cacheability decision for an address (the system wires this to its
-/// memory map; tests can cache everything).  The decision must be uniform
-/// within a cache line: cacheability comes from the memory map per AHB
-/// slave, and device ranges are vastly larger than a line.  The fill path
-/// relies on this (a whole line is filled by one access), and so does the
-/// hot fetch path (a resident line implies its addresses are cacheable).
-using CacheableFn = bool (*)(Addr);
+/// Which addresses the caches may hold: the node's memory map
+/// (mem::map::cacheable: the boot ROM and the two RAMs, never the APB
+/// peripherals), or everything (bare rigs with no peripherals to protect).
+/// Either rule is uniform within a cache line, since device ranges are
+/// vastly larger than a line.  The fill path relies on this (a whole line
+/// is filled by one access), and so do the hit probes: a resident line
+/// implies its addresses are cacheable, so a hit needs no cacheability
+/// test.
+enum class Cacheable : u8 { kMemoryMap, kEverything };
 
 class LeonPipeline {
  public:
   /// `clock` is the global cycle counter the pipeline advances; sharing it
-  /// with the SDRAM adapter and peripherals keeps one timebase.
+  /// with the SDRAM adapter and peripherals keeps one timebase.  `sram`,
+  /// when given, is the disconnect switch `bus` maps over exactly its
+  /// SRAM's range: with the host fast paths on, stores and line fills
+  /// inside that range take the direct SRAM path (docs/PERFORMANCE.md §3)
+  /// while no AHB error pulse is pending.
   LeonPipeline(const PipelineConfig& cfg, bus::AhbBus& bus, Cycles* clock,
-               CacheableFn cacheable);
+               Cacheable cacheable, mem::DisconnectSwitch* sram = nullptr);
 
   void reset(Addr entry);
   StepResult step();
@@ -159,7 +166,7 @@ class LeonPipeline {
   /// ifetch_hot() below handles the hit paths; this handles the rest.
   MemResult ifetch(Addr pc, u32& word, const isa::Instruction*& predecoded);
 
-  /// Header-inline zero-stall fetch: ordinary I-cache hit, served from the
+  /// Inline zero-stall fetch: ordinary I-cache hit, served from the
   /// predecoded mirror.  Returns false without touching anything
   /// observable when the fetch needs the full ifetch() path — fast paths
   /// off, uncacheable address, or a miss/poisoned line (lookup_hit touches
@@ -173,31 +180,46 @@ class LeonPipeline {
   /// the I-cache's content generation is unchanged (no fill, flush,
   /// invalidate, or poison since the memoized hit — see Cache::gen()),
   /// and touch_read_hit applies the identical LRU/stats update the full
-  /// probe would have.
-  bool ifetch_hot(Addr pc, u32& word, const isa::Instruction*& predecoded) {
-    if (!hot_ifetch_) return false;
-    const Addr line = pc & ~static_cast<Addr>(iline_mask_);
-    if (line == last_iline_ && icache_.gen() == last_igen_) [[likely]] {
-      icache_.touch_read_hit(last_islot_);
-    } else if (!enter_line(pc)) {
-      return false;
-    }
-    predecoded = last_imirror_ + ((pc & iline_mask_) >> 2);
-    word = predecoded->raw;
-    return true;
-  }
+  /// probe would have.  (The line tier keeps its own copy of the memo in
+  /// locals and batches those updates; see run_lines.)
+  inline bool ifetch_hot(Addr pc, u32& word,
+                         const isa::Instruction*& predecoded);
   /// The line-change half of a mirror fetch: probe the I-cache for `pc`
   /// (lookup_hit's LRU/stats update on a hit, nothing otherwise),
   /// re-digest the slot's mirror when it is stale, and point the streak
-  /// memo at it.  False on a miss or a poisoned line.
-  bool enter_line(Addr pc);
+  /// memo at it.  False on a miss or a poisoned line.  Forced inline: the
+  /// line tier changes lines with no call.  (These two are defined in
+  /// leon_pipeline.cpp, their only user.)
+  [[gnu::always_inline]] inline bool enter_line(Addr pc);
   /// Timed data access (SparcCore hooks): .cycles are the stall cycles.
   MemResult data_read(Addr addr, unsigned size);
   MemResult data_write(Addr addr, unsigned size, u64 value);
+  /// data_read() past its D-cache hit probe: an uncached access, a miss
+  /// (fill, dirty victim) or a poisoned line.  The line tier calls it
+  /// directly once its own inline probe has missed.
+  MemResult data_read_miss(Addr addr, unsigned size);
   /// Timed burst write of a full line's bytes (dirty victim eviction).
   Cycles writeback_line(Addr addr, const u8* bytes);
+  /// A line fill, over the direct SRAM path when it applies (the line has
+  /// no parity-damaged word), else as one bus burst.
+  Cycles fill_line(bus::Master m, Addr line_addr, u32 line_bytes, u8* line,
+                   bool& error);
+  /// A store's write on the bus, or on the direct SRAM path.
+  Cycles store_bus(Addr addr, unsigned size, u64 value, bool& error);
   /// Decode an I-cache line's bytes into the mirror slot.
   void predecode_line(u32 slot, Addr line_addr, const u8* line);
+
+  bool cacheable(Addr a) const {
+    return cache_all_ || mem::map::cacheable(a);
+  }
+  /// The direct SRAM path serves the `len` bytes at `addr`: it exists
+  /// (fast paths on, a switch given), the bytes lie inside the SRAM, and
+  /// no injected error pulse waits for the next bus transfer.
+  bool direct_sram(Addr addr, u32 len) const {
+    return dsram_ != nullptr &&
+           u64{addr - dsram_base_} + len <= dsram_size_ &&
+           bus_.pending_error_pulses() == 0;
+  }
 
   // --- architectural execution ----------------------------------------------
   /// Shared step body; kCopyIns=false skips the `res.ins` copy (run loops
@@ -241,7 +263,11 @@ class LeonPipeline {
   PipelineConfig cfg_;
   bus::AhbBus& bus_;
   Cycles* clock_;
-  CacheableFn cacheable_;
+  bool cache_all_;  // Cacheable::kEverything
+  /// The direct SRAM path's switch and range (null: no direct path).
+  mem::DisconnectSwitch* dsram_;
+  Addr dsram_base_ = 0;
+  u32 dsram_size_ = 0;
 
   cache::Cache icache_;
   cache::Cache dcache_;
@@ -249,7 +275,6 @@ class LeonPipeline {
   PipelineStats stats_;
 
   // --- host fast-path state (never affects simulated time/state) ------------
-  isa::DecodeCache predecode_;  // word-keyed; see host_fast_paths
   /// Per-I-cache-slot mirror of the resident line's decoded instructions,
   /// (re)built whenever a line is filled, and on the first hit of a line
   /// whose mirror is stale (restored from a snapshot).

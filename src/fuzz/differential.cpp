@@ -19,7 +19,6 @@ namespace {
 constexpr Addr kMemBase = 0x40000000;
 constexpr u32 kMemSize = 1u << 20;
 
-bool all_cacheable(Addr) { return true; }
 
 std::string hex32(u32 v) {
   char buf[16];
@@ -184,7 +183,8 @@ DiffOutcome DifferentialRunner::run_source(const std::string& source,
   sram.backdoor_write(img.base, img.data);
   bus::AhbBus bus;
   bus.attach(kMemBase, kMemSize, &sram);
-  cpu::LeonPipeline pipe(opt_.pipeline, bus, &clock, &all_cacheable);
+  cpu::LeonPipeline pipe(opt_.pipeline, bus, &clock,
+                         cpu::Cacheable::kEverything);
   pipe.reset(img.entry);
   pipe.run(budget, done);
   // Write-back configurations: memory lags the cache; flush first so the

@@ -40,8 +40,8 @@ struct FuzzConfig {
   /// Self-check fault injection (see DiffOptions::inject_subx_bug).
   bool inject_subx_bug = false;
   /// Force every rotation entry to run with the pipeline's host fast
-  /// paths off (decode cache, I-cache mirror and line tier, cache-hit
-  /// probes, batched system run loop).  The default rotation already
+  /// paths off (I-cache mirror and line tier, cache-hit probes, direct
+  /// SRAM path, batched system run loop).  The default rotation already
   /// includes one fast-off configuration; this turns the whole campaign
   /// into a slow-path baseline for A/B runs.
   bool disable_fast_paths = false;

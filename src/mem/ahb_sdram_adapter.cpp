@@ -7,27 +7,27 @@
 namespace la::mem {
 namespace {
 
-/// Merge `size` bytes of `value` into the big-endian 64-bit word `w64`
-/// that starts at byte address `word_base`; the beat sits at `addr`.
+/// Shift of the `size`-byte lane at byte offset `pos` (0..7, big-endian)
+/// of a 64-bit word.
+unsigned lane_shift(unsigned pos, unsigned size) {
+  return 8 * (8 - pos - size);
+}
+/// The low `size` (1, 2 or 4) bytes' mask.
+u64 lane_mask(unsigned size) { return (u64{1} << (8 * size)) - 1; }
+
+/// Merge the low `size` bytes of `value` into the big-endian 64-bit word
+/// `w64` that starts at byte address `word_base`; the beat sits at `addr`.
 u64 merge_lane(u64 w64, Addr word_base, Addr addr, unsigned size, u32 value) {
-  for (unsigned i = 0; i < size; ++i) {
-    const unsigned pos = (addr + i) - word_base;      // 0..7, big-endian
-    const unsigned shift = 8 * (7 - pos);
-    const u64 byte = (value >> (8 * (size - 1 - i))) & 0xffu;
-    w64 = (w64 & ~(u64{0xff} << shift)) | (byte << shift);
-  }
-  return w64;
+  const unsigned shift = lane_shift(addr - word_base, size);
+  const u64 mask = lane_mask(size);
+  return (w64 & ~(mask << shift)) | ((value & mask) << shift);
 }
 
 /// Extract `size` bytes at `addr` from the 64-bit word starting at
 /// `word_base`.
 u32 extract_lane(u64 w64, Addr word_base, Addr addr, unsigned size) {
-  u32 v = 0;
-  for (unsigned i = 0; i < size; ++i) {
-    const unsigned pos = (addr + i) - word_base;
-    v = (v << 8) | static_cast<u32>((w64 >> (8 * (7 - pos))) & 0xffu);
-  }
-  return v;
+  return static_cast<u32>((w64 >> lane_shift(addr - word_base, size)) &
+                          lane_mask(size));
 }
 
 }  // namespace
@@ -69,8 +69,9 @@ Cycles AhbSdramAdapter::transfer(bus::AhbTransfer& t) {
 
 Cycles AhbSdramAdapter::do_read(bus::AhbTransfer& t) {
   Cycles c = 0;
-  // Fetched window of 64-bit words.
-  std::vector<u64> win;
+  // Fetched window of 64-bit words: win[0, win_size).
+  u64 win[kMaxReadBurstWords64];
+  u32 win_size = 0;
   Addr win_base = 0;  // device-local byte offset of win[0]
   u32 consumed = 0;   // 64-bit words of the window actually used
 
@@ -79,19 +80,18 @@ Cycles AhbSdramAdapter::do_read(bus::AhbTransfer& t) {
     const Addr dev = abs - base_;
     const Addr word = static_cast<Addr>(align_down(dev, 8));
     const bool in_window =
-        !win.empty() && word >= win_base && word < win_base + win.size() * 8;
+        win_size != 0 && word >= win_base && word < win_base + win_size * 8;
     if (!in_window) {
-      if (!win.empty()) {
-        stats_.wasted_words64 += win.size() - consumed;
-      }
-      const u32 n = cfg_.always_short_burst ? cfg_.read_burst_words64 : 1;
-      win.assign(n, 0);
-      win_base = word;
+      stats_.wasted_words64 += win_size - consumed;
       // Clamp the prefetch to the device end.
-      const u32 avail = static_cast<u32>((size_ - word) / 8);
-      if (win.size() > avail) win.resize(avail);
+      win_size = std::min(cfg_.always_short_burst ? cfg_.read_burst_words64
+                                                  : 1u,
+                          static_cast<u32>((size_ - word) / 8));
+      win_base = word;
+      std::fill_n(win, win_size, 0);
       ++stats_.read_handshakes;
-      c += ctrl_.read(port_, *clock_ + c, win_base, win);
+      c += ctrl_.read(port_, *clock_ + c, win_base,
+                      std::span<u64>(win, win_size));
       if (ctrl_.device().consume_parity_error()) {
         // The controller saw bad check bits on the data it fetched; answer
         // the AHB with ERROR rather than forwarding damaged words.
@@ -105,7 +105,7 @@ Cycles AhbSdramAdapter::do_read(bus::AhbTransfer& t) {
     consumed = std::max(consumed, idx + 1);
     t.data[b] = extract_lane(win[idx], win_base + idx * 8, dev, t.beat_bytes);
   }
-  if (!win.empty()) stats_.wasted_words64 += win.size() - consumed;
+  stats_.wasted_words64 += win_size - consumed;
   return c;
 }
 

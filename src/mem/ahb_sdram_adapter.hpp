@@ -16,6 +16,7 @@
 // (bench/ablate_burst, bench/ablate_rmw).
 #pragma once
 
+#include <stdexcept>
 #include <string_view>
 
 #include "bus/ahb.hpp"
@@ -25,8 +26,12 @@
 
 namespace la::mem {
 
+/// Longest read window the adapter fetches per handshake, in 64-bit words.
+inline constexpr u32 kMaxReadBurstWords64 = 16;
+
 struct AdapterConfig {
-  /// Words-64 fetched per read handshake (paper: 2, i.e. 4 x 32-bit).
+  /// Words-64 fetched per read handshake (paper: 2, i.e. 4 x 32-bit);
+  /// 1..kMaxReadBurstWords64.
   u32 read_burst_words64 = 2;
   /// If false, every read is a single 64-bit handshake (ablation).
   bool always_short_burst = true;
@@ -57,7 +62,14 @@ class AhbSdramAdapter final : public bus::AhbSlave {
         size_(size),
         clock_(clock),
         cfg_(cfg),
-        port_(port) {}
+        port_(port) {
+    // The read window is a fixed array: a longer burst would overrun it.
+    if (cfg.read_burst_words64 < 1 ||
+        cfg.read_burst_words64 > kMaxReadBurstWords64) {
+      throw std::invalid_argument("AdapterConfig::read_burst_words64 out of "
+                                  "range");
+    }
+  }
 
   Cycles transfer(bus::AhbTransfer& t) override;
   std::string_view name() const override { return "ahb-sdram-adapter"; }

@@ -5,14 +5,18 @@
 namespace la::mem {
 
 SdramDevice::SdramDevice(u32 size_bytes, SdramTiming timing)
-    : timing_(timing), mem_(size_bytes, 8), open_row_(timing.banks, -1) {
+    : timing_(timing),
+      bank_shift_(ilog2(timing.row_bytes)),
+      row_shift_(ilog2(timing.row_bytes) + ilog2(timing.banks)),
+      mem_(size_bytes, 8),
+      open_row_(timing.banks, -1) {
   assert(is_pow2(size_bytes) && is_pow2(timing.banks) &&
          is_pow2(timing.row_bytes));
 }
 
 Cycles SdramDevice::row_cost(Addr addr) {
-  const u32 bank = (addr / timing_.row_bytes) & (timing_.banks - 1);
-  const i64 row = static_cast<i64>(addr / (timing_.row_bytes * timing_.banks));
+  const u32 bank = (addr >> bank_shift_) & (timing_.banks - 1);
+  const i64 row = static_cast<i64>(addr >> row_shift_);
   if (open_row_[bank] == row) {
     ++stats_.row_hits;
     return 0;

@@ -113,6 +113,10 @@ class SdramDevice {
   Cycles row_cost(Addr addr);
 
   SdramTiming timing_;
+  // log2(row_bytes) and log2(row_bytes * banks): both are powers of two,
+  // so row_cost's bank and row extraction are shifts.
+  u32 bank_shift_;
+  u32 row_shift_;
   PagedMemory mem_;  // one parity flag per 64-bit word
   std::vector<i64> open_row_;  // per bank, -1 = all precharged
   bool parity_pending_ = false;

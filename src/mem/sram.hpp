@@ -45,6 +45,30 @@ class Sram final : public bus::AhbSlave {
   u32 size() const { return mem_.size(); }
   const SramTiming& timing() const { return timing_; }
 
+  // Direct CPU path (a pipeline's host fast path, through
+  // DisconnectSwitch): the effects and data-phase cycles of transfer() for
+  // one CPU store or line fill that lies inside the SRAM, with no
+  // AhbTransfer.  The caller checks the range.
+  /// A store of `size` bytes (8: two word beats, as the bus carries std).
+  Cycles direct_store(Addr addr, unsigned size, u64 value) {
+    const u32 o = addr - base_;
+    // Each beat writes fresh check bits into its word, as in transfer().
+    mem_.store_be(o, size, value);
+    mem_.scrub(o, size);
+    const Cycles beats = size == 8 ? 2 : 1;
+    return beats * (1 + timing_.write_wait);
+  }
+  /// Copy the `len`-byte line at `addr` into `line` (the caches' byte
+  /// order is the memory's) and set its cycles; false, touching nothing,
+  /// when a word of the line has bad parity (transfer() answers ERROR).
+  bool direct_fill(Addr addr, u32 len, u8* line, Cycles& cycles) const {
+    const u32 o = addr - base_;
+    if (!mem_.parity_ok(o, len)) return false;
+    mem_.read(o, {line, len});
+    cycles = (len / 4) * (1 + timing_.read_wait);
+    return true;
+  }
+
   // Backdoor (user-path) access: byte-exact, no bus timing.
   bool backdoor_write(Addr addr, std::span<const u8> bytes);
   bool backdoor_read(Addr addr, std::span<u8> out) const;

@@ -61,8 +61,8 @@ LiquidSystem::LiquidSystem(const SystemConfig& cfg)
   bus_.attach(map::kApbBase, map::kApbSize, &bridge_);
 
   // ---- processor ----
-  pipe_ = std::make_unique<cpu::LeonPipeline>(cfg.pipeline, bus_, &clock_,
-                                              &map::cacheable);
+  pipe_ = std::make_unique<cpu::LeonPipeline>(
+      cfg.pipeline, bus_, &clock_, cpu::Cacheable::kMemoryMap, switch_.get());
   pipe_->reset(map::kRomBase);
 
   // ---- network / control ----
@@ -435,8 +435,8 @@ void LiquidSystem::reconfigure(const cpu::PipelineConfig& pcfg) {
   const double t0 = job_trace_.now_us();
   metrics_.counter("sim.reconfigurations").inc();
   cfg_.pipeline = pcfg;
-  pipe_ = std::make_unique<cpu::LeonPipeline>(pcfg, bus_, &clock_,
-                                              &map::cacheable);
+  pipe_ = std::make_unique<cpu::LeonPipeline>(
+      pcfg, bus_, &clock_, cpu::Cacheable::kMemoryMap, switch_.get());
   pipe_->reset(map::kRomBase);
   job_trace_.phase("reconfigure", t0, job_trace_.now_us(), clock_, clock_);
 }

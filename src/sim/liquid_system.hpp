@@ -107,7 +107,7 @@ class LiquidSystem {
   /// timings, boot ROM flavor) must match this system's; the *pipeline*
   /// configuration is adopted from the snapshot (rebuilding the pipeline
   /// if it differs — a restore is also a reconfiguration), while host-only
-  /// knobs (fast paths, decode cache, run-loop batching) keep this
+  /// knobs (the fast paths, run-loop batching included) keep this
   /// system's settings, so snapshots cross fast/slow configurations
   /// bit-identically.  On failure returns false, sets *err when given,
   /// and leaves the system in an unspecified but safe-to-reset state.

@@ -292,8 +292,8 @@ bool LiquidSystem::restore(const SystemSnapshot& snap, std::string* err) {
   // start's whole point is that no reprogramming happened here.
   if (!arch_equal(pcfg, pipe_->config())) {
     cfg_.pipeline = pcfg;
-    pipe_ = std::make_unique<cpu::LeonPipeline>(pcfg, bus_, &clock_,
-                                                &mem::map::cacheable);
+    pipe_ = std::make_unique<cpu::LeonPipeline>(
+        pcfg, bus_, &clock_, cpu::Cacheable::kMemoryMap, switch_.get());
   }
 
   if (!r.expect(kSysTag)) {

@@ -24,8 +24,8 @@
 // SystemConfig (the snapshot-identity property test enforces exactly
 // this across the fast-path and flight-recorder grid).
 //
-// Host-side accelerator state (decode caches, predecoded I-line mirrors,
-// AHB decode memo) is deliberately NOT captured: it is rebuilt on demand
+// Host-side accelerator state (predecoded I-line mirrors, the AHB
+// decode memo) is deliberately NOT captured: it is rebuilt on demand
 // and a snapshot taken with host fast paths on restores bit-identically
 // into a system running with them off, and vice versa.  The flight
 // recorder ring is also host-side observability and stays with the

@@ -204,5 +204,71 @@ TEST(Cache, StatsRatios) {
   EXPECT_EQ(c.stats().accesses(), 0u);
 }
 
+/// Every byte save_state writes: tags, LRU, parity, data, stats, tick.
+Bytes state_of(const Cache& c) {
+  SnapWriter w;
+  c.save_state(w);
+  return w.take();
+}
+
+// The pipeline's inline write-through probe stands in for
+// access(addr, true) on the hot store path: it must leave exactly what
+// access() leaves, on a hit, on a miss, and (by refusing, untouched) on a
+// poisoned line, whose recovery stays access()'s.
+TEST(Cache, WriteThroughProbeMatchesAccess) {
+  const CacheConfig cfg{.size_bytes = 1024, .line_bytes = 32, .ways = 2};
+  // Two ways of set 0 resident (0x400 the LRU one), set 2 poisoned.
+  const auto history = [](Cache& c) {
+    c.access(0x000, false);
+    c.access(0x400, false);
+    c.access(0x004, false);
+    c.access(0x040, false);
+    ASSERT_TRUE(c.poison_line(0x040, 3, 1));
+  };
+  struct Case {
+    Addr addr;
+    bool hit;
+    bool refused;
+  };
+  for (const Case k : {Case{0x404, true, false}, Case{0x800, false, false},
+                       Case{0x044, false, true}}) {
+    SCOPED_TRACE(k.addr);
+    Cache probe(cfg);
+    Cache full(cfg);
+    history(probe);
+    history(full);
+    u8* line = nullptr;
+    const bool done = probe.write_through(k.addr, line);
+    EXPECT_EQ(done, !k.refused);
+    if (!done) {
+      EXPECT_EQ(state_of(probe), state_of(full));  // touched nothing
+      EXPECT_EQ(probe.gen(), full.gen());
+      line = probe.access(k.addr, true).data;
+    }
+    const AccessOutcome out = full.access(k.addr, true);
+    EXPECT_EQ(out.hit, k.hit);
+    EXPECT_EQ(line != nullptr, k.hit);
+    EXPECT_EQ(state_of(probe), state_of(full));
+    EXPECT_EQ(probe.gen(), full.gen());
+    EXPECT_EQ(probe.stats().write_hits, full.stats().write_hits);
+    EXPECT_EQ(probe.stats().write_misses, full.stats().write_misses);
+  }
+}
+
+// A streak's batched re-hits leave what one re-hit per fetch leaves.
+TEST(Cache, BatchedReHitsMatchOneAtATime) {
+  const CacheConfig cfg{.size_bytes = 1024, .line_bytes = 32, .ways = 2};
+  Cache batched(cfg);
+  Cache single(cfg);
+  const HitRef a = (batched.access(0x400, false), batched.lookup_hit(0x400));
+  const HitRef b = (single.access(0x400, false), single.lookup_hit(0x400));
+  ASSERT_NE(a.data, nullptr);
+  ASSERT_EQ(a.slot, b.slot);
+  batched.touch_read_hits(a.slot, 7);
+  for (int i = 0; i < 7; ++i) single.touch_read_hit(b.slot);
+  EXPECT_EQ(state_of(batched), state_of(single));
+  EXPECT_EQ(batched.gen(), single.gen());
+}
+
 }  // namespace
 }  // namespace la::cache

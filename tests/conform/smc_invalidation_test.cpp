@@ -1,4 +1,4 @@
-// DecodeCache / predecode-mirror coverage at the replay-rig level, driven
+// Predecode-mirror coverage at the replay-rig level, driven
 // by corpus vectors instead of assembled kernels (the assembly twin lives
 // in cpu/predecode_test.cpp).  Two scenarios:
 //
@@ -6,7 +6,7 @@
 //    corpus vectors by overwriting the code/data image behind the CPU's
 //    back (exactly what the controller's LOAD does), flushing the caches
 //    between programs.  Each vector must then reproduce its reference
-//    post-state — a decode cache keyed on stale words would fail here.
+//    post-state — a mirror keyed on stale words would fail here.
 //    Without the flush the caches are architecturally stale, and the
 //    fast and slow pipelines must be *identically* stale.
 //
@@ -29,7 +29,6 @@
 namespace la::conform {
 namespace {
 
-bool all_cacheable(Addr) { return true; }
 
 /// A persistent pipeline rig: memory survives across vectors so cache
 /// and decode-cache state carries over, like a real board between LOADs.
@@ -42,7 +41,7 @@ struct Rig {
   explicit Rig(const cpu::PipelineConfig& cfg) {
     bus.attach(kVecMemBase, kVecMemSize, &sram);
     pipe = std::make_unique<cpu::LeonPipeline>(cfg, bus, &clock,
-                                               &all_cacheable);
+                                               cpu::Cacheable::kEverything);
     pipe->reset(kVecCodeBase);
   }
 
@@ -184,8 +183,8 @@ void run_smc(const cpu::PipelineConfig& base, bool with_flush,
   for (Rig* r : {&fast, &slow}) {
     cpu::PipelineConfig cfg = base;  // same geometry, per-rig fast paths
     cfg.host_fast_paths = r == &fast;
-    r->pipe = std::make_unique<cpu::LeonPipeline>(cfg, r->bus, &r->clock,
-                                                  &all_cacheable);
+    r->pipe = std::make_unique<cpu::LeonPipeline>(
+        cfg, r->bus, &r->clock, cpu::Cacheable::kEverything);
     r->pipe->reset(kVecCodeBase);
     r->sram.backdoor_write_word(kVecCodeBase, isa::encode_mem_ri(
                                                   isa::Mnemonic::kSt, 2, 1, 0));

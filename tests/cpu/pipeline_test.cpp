@@ -334,5 +334,71 @@ TEST(Pipeline, AnnulledSlotsCountedSeparately) {
   EXPECT_EQ(s.pipe().stats().annulled, 1u);
 }
 
+/// The I-cache's every saved byte (tags, LRU, data, stats, tick).
+Bytes icache_state(cpu::LeonPipeline& p) {
+  SnapWriter w;
+  p.icache().save_state(w);
+  return w.take();
+}
+
+// The line tier counts a line's streak of I-cache re-hits in a local and
+// applies them at the next line change and before anything else runs.
+// Windows ending mid-line, an execute() op inside the streak, and a whole
+// I-cache flush (the ASI 2 FI bit) in a line the program then leaves must
+// all leave the I-cache exactly as per-fetch accounting (the reference's
+// one access() per fetch) leaves it.
+TEST(Pipeline, LineTierStreakAccountingMatchesPerFetch) {
+  const char* src = R"(
+      .org 0x40000100
+  _start:
+      mov 0, %g1
+      mov 60, %g2
+      set 0x00200000, %l2    ! CCR FI
+      ba loop
+      nop
+      .align 32
+  loop:
+      add %g1, 1, %g1
+      xor %g1, %g2, %g3
+      umul %g1, 3, %g5       ! execute() mid-streak
+      and %g3, 7, %g4
+      subcc %g2, 1, %g2
+      bne loop
+      nop
+      add %g4, 1, %g4        ! crosses into the next line
+      add %g1, %g4, %g1
+      sub %g1, 1, %g1
+      or %g1, 2, %g1
+      xor %g1, 5, %g1
+      add %g1, 1, %g1
+      add %g1, 3, %g1
+      ba far
+      sta %l2, [%g0] 2       ! last word of its line: flush the I-cache
+      .align 64
+  far:
+      add %g1, 1, %g1
+  done:
+      ba done
+      nop
+  )";
+  cpu::PipelineConfig slow_cfg;
+  slow_cfg.host_fast_paths = false;
+  PipeSys fast(src);
+  PipeSys slow(src, slow_cfg);
+  u64 steps = 0;
+  for (const u64 window : {3u, 5u, 7u, 11u, 2u, 13u}) {
+    for (int i = 0; i < 12; ++i) {
+      ASSERT_EQ(fast.pipe().run(window), window);
+      for (u64 k = 0; k < window; ++k) slow.pipe().step();
+      steps += window;
+      ASSERT_EQ(icache_state(fast.pipe()), icache_state(slow.pipe()))
+          << "after " << steps << " steps";
+      ASSERT_EQ(fast.pipe().state().pc, slow.pipe().state().pc);
+    }
+  }
+  EXPECT_EQ(fast.pipe().state().pc, fast.image().symbol("done"));
+  EXPECT_EQ(fast.pipe().icache().stats().flushes, 2u);  // reset's, FI's
+}
+
 }  // namespace
 }  // namespace la::test

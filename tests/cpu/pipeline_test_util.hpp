@@ -16,10 +16,6 @@
 
 namespace la::test {
 
-inline bool sram_and_rom_cacheable(Addr a) {
-  return a < 0x80000000;  // everything below the APB window
-}
-
 class PipeSys {
  public:
   explicit PipeSys(std::string_view source, cpu::PipelineConfig cfg = {})
@@ -35,7 +31,7 @@ class PipeSys {
     const bool ok = sram_.backdoor_write(img_.base, img_.data);
     EXPECT_TRUE(ok);
     pipe_ = std::make_unique<cpu::LeonPipeline>(cfg, bus_, &clock_,
-                                                &sram_and_rom_cacheable);
+                                                cpu::Cacheable::kMemoryMap);
     pipe_->reset(img_.entry);
   }
 

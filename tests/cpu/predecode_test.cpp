@@ -1,6 +1,6 @@
 // Predecode-mirror invalidation: self-modifying code must behave
 // identically with the host fast paths (predecoded I-cache line mirror,
-// word-keyed decode cache) on and off — including the architecturally
+// line tier) on and off — including the architecturally
 // stale case, where a store to the line the PC is executing from is NOT
 // visible until the line is flushed (LEON caches snoop nothing).
 #include <gtest/gtest.h>

@@ -12,10 +12,10 @@
 #include <map>
 #include <vector>
 
-#include "fault/injector.hpp"
 #include "farm/workload.hpp"
 #include "mem/memory_map.hpp"
 #include "sasm/assembler.hpp"
+#include "sim/liquid_system.hpp"
 
 namespace la::farm {
 namespace {
@@ -31,18 +31,44 @@ FarmConfig wedge_farm_config() {
   return fc;
 }
 
-// Wedge a node permanently (until reset) as its first job's program
-// starts; only the watchdog + drain-on-fault machinery can save that
-// job.  The trigger is the program entry rather than a cycle count: a
-// wedge that lands while the node boots or loads is wiped by the next
-// warm-start restore (it replaces the whole CPU state), and when that
-// happens depends on how fast the sibling donates its snapshots.
-fault::FaultPlan wedge_at_program_entry() {
-  fault::FaultPlan plan;
-  plan.events.push_back({{fault::TriggerKind::kPc, mem::map::kUserProgramBase},
-                         {fault::FaultSite::kCpuWedge, 0, 1, 1, 0}});
-  return plan;
-}
+// One wedge for the whole farm: whichever node first starts a user
+// program wedges permanently (until reset) right there, and no node
+// wedges after it; only the watchdog + drain-on-fault machinery can save
+// that job.  Armed on every node, it does not depend on which worker
+// claims a job first (with a wedge on one fixed node, the other worker
+// could drain the whole queue before that node ran anything).  The
+// trigger is the program entry rather than a cycle count: a wedge that
+// lands while the node boots or loads is wiped by the next warm-start
+// restore (it replaces the whole CPU state), and when that happens
+// depends on how fast the sibling donates its snapshots.
+class SharedWedge {
+ public:
+  SharedWedge(LiquidFarm& f, std::size_t nodes) {
+    for (std::size_t i = 0; i < nodes; ++i) {
+      sim::LiquidSystem& node = f.node_for_setup(i);
+      nodes_.push_back(&node);
+      node.set_step_hook([this, &node, i](const cpu::StepResult& r) {
+        if (r.pc != mem::map::kUserProgramBase) return;
+        int none = -1;
+        if (wedged_.compare_exchange_strong(none, static_cast<int>(i))) {
+          node.cpu().set_wedged(true);
+        }
+      });
+    }
+  }
+  ~SharedWedge() {
+    for (sim::LiquidSystem* node : nodes_) node->set_step_hook({});
+  }
+  SharedWedge(const SharedWedge&) = delete;
+  SharedWedge& operator=(const SharedWedge&) = delete;
+
+  /// The node that wedged (-1 while none has).
+  int node() const { return wedged_.load(); }
+
+ private:
+  std::vector<sim::LiquidSystem*> nodes_;
+  std::atomic<int> wedged_{-1};
+};
 
 WorkloadConfig wedge_workload() {
   WorkloadConfig wc;
@@ -51,9 +77,19 @@ WorkloadConfig wedge_workload() {
   return wc;
 }
 
+// Both nodes boot to their polling loops before any job exists (a drain
+// of the empty farm waits for that), so the node that stays healthy is in
+// rotation when the wedged node's job goes back on the queue, and takes
+// it: the retry is a migration whatever order the workers start in.
+void start_and_boot(LiquidFarm& f) {
+  f.start();
+  f.drain();
+}
+
 TEST(FarmHeal, WedgedNodeDrainsRetriesAndRecovers) {
   LiquidFarm f(wedge_farm_config());
-  fault::FaultInjector inj(f.node_for_setup(0), wedge_at_program_entry());
+  SharedWedge wedge(f, wedge_farm_config().nodes);
+  start_and_boot(f);
 
   WorkloadGenerator gen(wedge_workload());
   std::map<u64, u32> expected;
@@ -66,7 +102,6 @@ TEST(FarmHeal, WedgedNodeDrainsRetriesAndRecovers) {
     expected[*id] = g.expected;
     owners[*id] = owner;
   }
-  f.start();
   f.drain();
 
   std::map<u64, int> completions;
@@ -98,11 +133,13 @@ TEST(FarmHeal, WedgedNodeDrainsRetriesAndRecovers) {
   }
 
   const FarmReport rep = f.report();
+  ASSERT_GE(wedge.node(), 0) << "no node started a program";
   EXPECT_GE(rep.retries, 1u) << "the wedge never caused a retry";
   EXPECT_EQ(rep.retries, extra_attempts);
   EXPECT_GE(rep.migrations, 1u)
       << "the retried job should have drained to the healthy node";
-  EXPECT_GE(rep.nodes.at(0).quarantines, 1u);
+  EXPECT_GE(rep.nodes.at(static_cast<std::size_t>(wedge.node())).quarantines,
+            1u);
   for (const auto& n : rep.nodes) {
     EXPECT_EQ(n.health, NodeHealth::kHealthy) << "node " << n.index;
   }
@@ -113,13 +150,13 @@ TEST(FarmHeal, WedgedNodeDrainsRetriesAndRecovers) {
 TEST(FarmHeal, ResultListenerFiresOncePerDeliveredOutcome) {
   std::atomic<u64> calls{0};  // outlives the farm and its workers
   LiquidFarm f(wedge_farm_config());
-  fault::FaultInjector inj(f.node_for_setup(0), wedge_at_program_entry());
+  SharedWedge wedge(f, wedge_farm_config().nodes);
   f.set_result_listener([&] { ++calls; });
+  start_and_boot(f);
 
   WorkloadGenerator gen(wedge_workload());
   constexpr u64 kJobs = 16;
   for (u64 i = 0; i < kJobs; ++i) ASSERT_TRUE(f.submit(gen.next().job));
-  f.start();
   f.drain();
 
   // One call per queued outcome; the wedged executions that went back on

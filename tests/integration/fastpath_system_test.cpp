@@ -2,13 +2,16 @@
 // tier, and the CPU fast paths must be unobservable through the control
 // protocol — identical cycle counts on the Fig 8 cache sweep, identical
 // cycles, snapshot bytes and flight-recorder rings after the progs/
-// kernels and after a program built to walk every branch of the line
-// tier's load/store handlers, and a program LOADed over a previously
-// running one (restart → reload at the same addresses) must execute the
-// new bytes, not a stale predecoded mirror.
+// kernels, after a program built to walk every branch of the line tier's
+// load/store handlers, and after the runs that must keep the direct SRAM
+// path off or exact (an injected AHB error pulse, a parity-damaged line,
+// the disconnect switch open, SDRAM byte lanes), and a program LOADed
+// over a previously running one (restart → reload at the same addresses)
+// must execute the new bytes, not a stale predecoded mirror.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 
@@ -193,16 +196,28 @@ struct KernelRun {
   u64 cycles = 0;
 };
 
-/// Boot, LOAD + START + await one kernel over the control protocol, then
-/// capture the whole node and (when armed) its flight ring.
-KernelRun drive_kernel(const sasm::Image& img, bool fast, bool recorder) {
-  sim::SystemConfig cfg = config_for(fast);
+/// How a check drives its program once the node has booted: by default
+/// LOAD + START + await over the control protocol.
+using Drive = std::function<void(sim::LiquidSystem&, ctrl::LiquidClient&,
+                                 const sasm::Image&)>;
+
+void run_to_done(sim::LiquidSystem& node, ctrl::LiquidClient& client,
+                 const sasm::Image& img) {
+  EXPECT_TRUE(client.run_program(img, 50'000'000));
+  EXPECT_EQ(node.controller().state(), net::LeonState::kDone);
+}
+
+/// Boot, drive one program, then capture the whole node and (when armed)
+/// its flight ring.
+KernelRun drive_kernel(const sasm::Image& img, bool fast, bool recorder,
+                       const Drive& drive = run_to_done,
+                       sim::SystemConfig cfg = {}) {
+  cfg.pipeline.host_fast_paths = fast;
   cfg.flight_recorder = recorder;
   sim::LiquidSystem node(cfg);
   node.run(300);
   ctrl::LiquidClient client(node);
-  EXPECT_TRUE(client.run_program(img, 50'000'000));
-  EXPECT_EQ(node.controller().state(), net::LeonState::kDone);
+  drive(node, client, img);
   KernelRun out;
   out.snapshot = node.snapshot().serialize();
   out.flight = node.take_flight_dump("fastpath_check");
@@ -210,17 +225,26 @@ KernelRun drive_kernel(const sasm::Image& img, bool fast, bool recorder) {
   return out;
 }
 
-void check_image(const sasm::Image& img) {
-  const KernelRun fast = drive_kernel(img, true, false);
-  const KernelRun slow = drive_kernel(img, false, false);
-  const KernelRun fast_rec = drive_kernel(img, true, true);
-  const KernelRun slow_rec = drive_kernel(img, false, true);
+/// Fast vs slow, recorder off and on.  `recorder_blind` also requires
+/// the recorder-on snapshots to equal the recorder-off ones; a run that
+/// trips the watchdog cannot, because the node's saved count of trips
+/// already recorded as watchdog events advances only with a recorder.
+void check_image(const sasm::Image& img, const Drive& drive = run_to_done,
+                 const sim::SystemConfig& cfg = {},
+                 bool recorder_blind = true) {
+  const KernelRun fast = drive_kernel(img, true, false, drive, cfg);
+  const KernelRun slow = drive_kernel(img, false, false, drive, cfg);
+  const KernelRun fast_rec = drive_kernel(img, true, true, drive, cfg);
+  const KernelRun slow_rec = drive_kernel(img, false, true, drive, cfg);
 
   EXPECT_EQ(fast.cycles, slow.cycles);
-  // The recorder is host-side too: all four nodes snapshot identically.
+  EXPECT_EQ(fast_rec.cycles, fast.cycles);
   EXPECT_TRUE(fast.snapshot == slow.snapshot);
-  EXPECT_TRUE(fast_rec.snapshot == fast.snapshot);
-  EXPECT_TRUE(slow_rec.snapshot == fast.snapshot);
+  EXPECT_TRUE(fast_rec.snapshot == slow_rec.snapshot);
+  if (recorder_blind) {
+    // The recorder is host-side too: all four nodes snapshot identically.
+    EXPECT_TRUE(fast_rec.snapshot == fast.snapshot);
+  }
   ASSERT_FALSE(fast_rec.flight.empty());
   EXPECT_EQ(fast_rec.flight, slow_rec.flight);
   EXPECT_NE(fast_rec.flight.find("\"kind\":\"retire\""), std::string::npos);
@@ -397,6 +421,268 @@ TEST(FastPathSystem, MemoryEdgeCasesIdentical) {
   EXPECT_NE((*words)[0], 0u);
   EXPECT_EQ((*words)[1], 5u * 24u);
   EXPECT_GT((*words)[2], 1u);
+}
+
+// --- The direct SRAM path's exits -----------------------------------------
+// With the fast paths on, CPU stores and line fills inside the SRAM skip
+// the bus.  Each program below reaches a case that path must hand back to
+// the full bus path (a pending AHB error pulse, a parity-damaged word), or
+// must reproduce exactly (the disconnect switch open, SDRAM beside it).
+// Snapshot bytes cover the SRAM pages, its parity set, the switch's
+// blocked counters, the AHB counters and the SDRAM sections.
+
+/// A data_access handler that counts its traps at `traps:` and returns
+/// past the faulting op, appended with the runtime.
+std::string with_skip_handler(std::string prog) {
+  sasm::rt::RuntimeOptions opt;
+  opt.custom_handlers[0x09] = "skip";
+  prog += R"(
+  skip:
+      set traps, %l3
+      ld [%l3], %l4
+      add %l4, 1, %l4
+      st %l4, [%l3]
+      jmp %l2
+      rett %l2 + 4
+  )";
+  return prog + sasm::rt::runtime_source(opt);
+}
+
+/// Loops whose only bus traffic, once their code is in the I-cache, is
+/// word stores into the SRAM (`fills` false) or D-cache line fills from it
+/// (`fills` true: a 32-byte stride over 4 KB misses the 1 KB D-cache on
+/// every load).
+std::string bus_loop_program(bool fills) {
+  const std::string op = fills ? "ld [%l0 + %l1], %o1\n      add %l7, %o1, %l7"
+                               : "st %l7, [%l0 + %l1]\n      add %l7, 3, %l7";
+  return with_skip_handler(R"(
+      .org 0x40000100
+  _start:
+      call rt_init
+      nop
+      set data, %l0
+      mov 0, %l1
+      mov 0, %l7
+      set 6000, %l6
+  loop:
+      )" + op + R"(
+      add %l1, 32, %l1
+      and %l1, 4095, %l1
+      subcc %l6, 1, %l6
+      bne loop
+      nop
+      set sum, %o0
+      st %l7, [%o0]
+      jmp 0x40
+      nop
+      .align 4
+  sum:
+      .word 0
+  traps:
+      .word 0
+      .align 32
+  data:
+      .skip 4096
+  )");
+}
+
+/// LOAD + START, let the loop run, arm one AHB error pulse for the next
+/// bus transfer, and await completion.
+void pulse_mid_loop(sim::LiquidSystem& node, ctrl::LiquidClient& client,
+                    const sasm::Image& img) {
+  ASSERT_TRUE(client.load_program(img));
+  ASSERT_TRUE(client.start(img.entry));
+  node.run(5000);
+  ASSERT_EQ(node.controller().state(), net::LeonState::kRunning);
+  node.ahb().inject_error_pulse(1);
+  EXPECT_TRUE(client.await_done(50'000'000));
+  EXPECT_EQ(node.ahb().pending_error_pulses(), 0u);
+}
+
+void check_pulse(bool fills) {
+  const auto img = sasm::assemble_or_throw(bus_loop_program(fills));
+  check_image(img, pulse_mid_loop);
+
+  // The pulse failed the access it met: one data_access trap.
+  sim::LiquidSystem node(config_for(true));
+  node.run(300);
+  ctrl::LiquidClient client(node);
+  pulse_mid_loop(node, client, img);
+  const auto words = client.read_memory(img.symbol("traps"), 1);
+  ASSERT_TRUE(words.has_value());
+  EXPECT_EQ((*words)[0], 1u);
+  EXPECT_EQ(node.ahb().stats().injected_errors, 1u);
+}
+
+TEST(FastPathSystem, ErrorPulseBeforeStoreIdentical) { check_pulse(false); }
+
+TEST(FastPathSystem, ErrorPulseBeforeFillIdentical) { check_pulse(true); }
+
+// A word with bad parity in a line the program then loads: the fill
+// answers ERROR (data_access) until a store to the word scrubs it.
+TEST(FastPathSystem, ParityDamagedLineIdentical) {
+  const auto img = sasm::assemble_or_throw(with_skip_handler(R"(
+      .org 0x40000100
+  _start:
+      call rt_init
+      nop
+      set data, %l0
+      ld [%l0], %o1          ! the line holds the damaged word: trap
+      ld [%l0 + 12], %o2     ! still damaged: trap
+      st %g0, [%l0 + 16]     ! a store beside it does not scrub it
+      ld [%l0 + 8], %o3      ! trap
+      mov 5, %o4
+      st %o4, [%l0 + 4]      ! scrubs the damaged word
+      ld [%l0], %o1          ! now fills
+      ld [%l0 + 4], %o2
+      add %o1, %o2, %o1
+      set sum, %o0
+      st %o1, [%o0]
+      jmp 0x40
+      nop
+      .align 4
+  sum:
+      .word 0
+  traps:
+      .word 0
+      .align 32
+  data:
+      .word 7, 1, 2, 3, 4, 5, 6, 8
+  )"));
+  const Drive damaged = [](sim::LiquidSystem& node,
+                           ctrl::LiquidClient& client,
+                           const sasm::Image& im) {
+    ASSERT_TRUE(client.load_program(im));
+    ASSERT_TRUE(node.sram().corrupt_word(im.symbol("data") + 4, 0x10));
+    ASSERT_TRUE(client.start(im.entry));
+    EXPECT_TRUE(client.await_done(50'000'000));
+  };
+  check_image(img, damaged);
+
+  sim::LiquidSystem node(config_for(true));
+  node.run(300);
+  ctrl::LiquidClient client(node);
+  damaged(node, client, img);
+  const auto words = client.read_memory(img.symbol("sum"), 2);
+  ASSERT_TRUE(words.has_value());
+  EXPECT_EQ((*words)[0], 12u);
+  EXPECT_EQ((*words)[1], 3u);
+  EXPECT_EQ(node.sram().stats().parity_errors, 3u);
+}
+
+// The disconnect switch open under a running program: a spinner that
+// stores and misses trips the watchdog, so leon_ctrl unplugs the
+// processor while the spinner keeps running: its stores are dropped and
+// its fills read zeros, through a LOAD that the node refuses until a
+// RESTART.  Then the RESTART, a LOAD of the new program while the boot
+// ROM polls the mailbox through the open switch, the run, and the
+// post-return poll, which reads the mailbox through the open switch too.
+TEST(FastPathSystem, SwitchOpenStoresAndFillsIdentical) {
+  const auto spinner = sasm::assemble_or_throw(R"(
+      .org 0x40000100
+  _start:
+      set data, %l0
+      mov 0, %l1
+  spin:
+      st %l1, [%l0 + %l1]
+      ld [%l0 + %l1], %o1
+      add %l7, %o1, %l7
+      add %l1, 32, %l1
+      and %l1, 4095, %l1
+      ba spin
+      nop
+      .align 32
+  data:
+      .skip 4096
+  )");
+  const Drive unplugged = [&spinner](sim::LiquidSystem& node,
+                                     ctrl::LiquidClient& client,
+                                     const sasm::Image& im) {
+    ASSERT_TRUE(client.load_program(spinner));
+    ASSERT_TRUE(client.start(spinner.entry));
+    node.run(60'000);  // past the watchdog budget
+    ASSERT_EQ(node.controller().state(), net::LeonState::kError);
+    ASSERT_FALSE(node.disconnect().connected());
+    EXPECT_FALSE(client.load_program(im));  // refused: RESTART first
+    ASSERT_TRUE(client.restart());
+    EXPECT_TRUE(client.run_program(im, 50'000'000));
+    node.run(20'000);  // the post-return poll, switch open
+    EXPECT_EQ(node.controller().state(), net::LeonState::kDone);
+  };
+  sim::SystemConfig cfg;
+  cfg.watchdog_budget = 30'000;
+  const auto img = sasm::assemble_or_throw(store_and_finish(0xc0ffee));
+  check_image(img, unplugged, cfg, /*recorder_blind=*/false);
+
+  cfg.pipeline.host_fast_paths = true;
+  sim::LiquidSystem node(cfg);
+  node.run(300);
+  ctrl::LiquidClient client(node);
+  unplugged(node, client, img);
+  EXPECT_GT(node.disconnect().stats().blocked_writes, 100u);
+  EXPECT_GT(node.disconnect().stats().blocked_reads, 100u);
+  const auto words = client.read_memory(img.symbol("result"), 1);
+  ASSERT_TRUE(words.has_value());
+  EXPECT_EQ((*words)[0], 0xc0ffeeu);
+}
+
+// SDRAM keeps the bus path (its adapter is stateful): stb into every byte
+// lane of a 64-bit word, sth into every halfword lane, st, std and ldd,
+// each read back.
+TEST(FastPathSystem, SdramLanesIdentical) {
+  const auto img = sasm::assemble_or_throw(R"(
+      .org 0x40000100
+  _start:
+      set 0x60001000, %l0
+      mov 0x11, %o0
+      mov 0, %l1
+  bytes:                     ! stb 0x11..0x88 into lanes 0..7
+      stb %o0, [%l0 + %l1]
+      add %o0, 0x11, %o0
+      add %l1, 1, %l1
+      cmp %l1, 8
+      bl bytes
+      nop
+      ldd [%l0], %o2         ! 0x11223344 0x55667788
+      set 0x0102, %o0
+      sth %o0, [%l0 + 8]
+      add %o0, 0x202, %o0
+      sth %o0, [%l0 + 10]
+      add %o0, 0x202, %o0
+      sth %o0, [%l0 + 12]
+      add %o0, 0x202, %o0
+      sth %o0, [%l0 + 14]
+      ldd [%l0 + 8], %o4     ! 0x01020304 0x05060708
+      std %o2, [%l0 + 16]
+      st %o5, [%l0 + 28]
+      ldub [%l0 + 3], %g1
+      lduh [%l0 + 6], %g2
+      ld [%l0 + 20], %g3
+      ld [%l0 + 28], %g4
+      set sum, %l2
+      std %o2, [%l2]
+      std %o4, [%l2 + 8]
+      st %g1, [%l2 + 16]
+      st %g2, [%l2 + 20]
+      st %g3, [%l2 + 24]
+      st %g4, [%l2 + 28]
+      jmp 0x40
+      nop
+      .align 8
+  sum:
+      .skip 32
+  )");
+  check_image(img);
+
+  sim::LiquidSystem node(config_for(true));
+  node.run(300);
+  ctrl::LiquidClient client(node);
+  ASSERT_TRUE(client.run_program(img, 50'000'000));
+  const auto words = client.read_memory(img.symbol("sum"), 8);
+  ASSERT_TRUE(words.has_value());
+  EXPECT_EQ(*words, (std::vector<u32>{0x11223344, 0x55667788, 0x01020304,
+                                      0x05060708, 0x44, 0x7788, 0x55667788,
+                                      0x05060708}));
 }
 
 }  // namespace

@@ -22,7 +22,6 @@ namespace {
 constexpr Addr kBase = 0x40000000;
 constexpr u32 kMemSize = 1u << 20;
 
-bool all_cacheable(Addr) { return true; }
 
 /// Random DAG of functions: fK may call fJ only for J > K, so every
 /// program terminates; call chains run deep enough to spill.
@@ -116,7 +115,7 @@ struct BothModels {
     sram->backdoor_write(img.base, img.data);
     bus.attach(kBase, kMemSize, sram.get());
     pipe = std::make_unique<cpu::LeonPipeline>(pcfg, bus, &clock,
-                                               &all_cacheable);
+                                               cpu::Cacheable::kEverything);
     pipe->reset(img.entry);
   }
 

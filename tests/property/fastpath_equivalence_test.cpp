@@ -29,7 +29,6 @@ namespace {
 constexpr Addr kMemBase = 0x40000000;
 constexpr u32 kMemSize = 1u << 20;
 
-bool all_cacheable(Addr) { return true; }
 
 int seed_count() {
   if (const char* env = std::getenv("LA_PROPERTY_SEEDS")) {
@@ -54,7 +53,7 @@ struct Leg {
     sram.backdoor_write(img.base, img.data);
     bus.attach(kMemBase, kMemSize, &sram);
     pipe = std::make_unique<cpu::LeonPipeline>(cfg, bus, &clock,
-                                               &all_cacheable);
+                                               cpu::Cacheable::kEverything);
     pipe->reset(img.entry);
   }
 

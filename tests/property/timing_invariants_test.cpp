@@ -18,7 +18,6 @@ namespace {
 
 constexpr Addr kBase = 0x40000000;
 
-bool all_cacheable(Addr) { return true; }
 
 /// Loopy random program: strided walks + arithmetic, always terminating.
 std::string random_workload(u64 seed) {
@@ -57,7 +56,7 @@ TimedRun run_with(const sasm::Image& img, u32 dcache_bytes) {
   Cycles clock = 0;
   cpu::PipelineConfig cfg;
   cfg.dcache.size_bytes = dcache_bytes;
-  cpu::LeonPipeline pipe(cfg, bus, &clock, &all_cacheable);
+  cpu::LeonPipeline pipe(cfg, bus, &clock, cpu::Cacheable::kEverything);
   pipe.reset(img.entry);
   pipe.run(2'000'000, img.symbol("done"));
   EXPECT_EQ(pipe.state().pc, img.symbol("done"));

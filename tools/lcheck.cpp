@@ -29,8 +29,10 @@
 //                                  fast_paths, positive median host_mips
 //                                  inside its sample min/max, >= 5
 //                                  samples, build type, commit and core
-//                                  count, complete fast on/off pairings,
-//                                  and one integer_unit row, fast off
+//                                  count, complete fast on/off pairings
+//                                  (the node's crc32, stream and memtest
+//                                  kernels included), and one
+//                                  integer_unit row, fast off
 //
 // Exit codes: 0 all checks pass, 1 a check failed, 2 usage/IO error.
 #include <cctype>
@@ -607,7 +609,7 @@ int check_bench_sim(const std::string& file, const std::string& text) {
       "integer_unit", "leon_pipeline", "liquid_system",
       "liquid_system_flight"};
   static const std::set<std::string> kWorkloads = {"alu_loop", "crc32",
-                                                    "stream"};
+                                                    "stream", "memtest"};
   // (model, workload, fast_paths) keys seen, for pairing.
   std::set<std::string> seen;
   std::size_t index = 0;
@@ -674,15 +676,16 @@ int check_bench_sim(const std::string& file, const std::string& text) {
   }
 
   // Pairing: the pipeline and the node measured on the ALU loop with the
-  // host fast paths both on and off, and the node likewise on the crc32
-  // and stream kernels; the functional model, which has no fast tier,
-  // once.  (The flight-recorder variant exists only as a fast-path
+  // host fast paths both on and off, and the node likewise on the crc32,
+  // stream and memtest (SDRAM) kernels; the functional model, which has
+  // no fast tier, once.  (The flight-recorder variant exists only as a fast-path
   // overhead row.)
   if (seen.count("integer_unit/alu_loop/slow") == 0) {
     return complain(file, "missing integer_unit/alu_loop/slow row");
   }
   for (const char* m : {"leon_pipeline/alu_loop", "liquid_system/alu_loop",
-                        "liquid_system/crc32", "liquid_system/stream"}) {
+                        "liquid_system/crc32", "liquid_system/stream",
+                        "liquid_system/memtest"}) {
     for (const char* leg : {"/slow", "/fast"}) {
       if (seen.count(std::string(m) + leg) == 0) {
         return complain(file, std::string("missing ") + m + leg + " row");

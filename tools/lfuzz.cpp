@@ -60,9 +60,9 @@ int usage() {
       "  --inject-bug      enable the deliberate SUBX carry fault\n"
       "                    (fuzzer self-check; must end with exit 1)\n"
       "  --no-fast-paths   force the pipeline's host fast paths off\n"
-      "                    everywhere (decode cache, I-cache mirror and\n"
-      "                    line tier, batched run loop) for A/B comparison\n"
-      "                    against a default campaign\n"
+      "                    everywhere (I-cache mirror and line tier,\n"
+      "                    direct SRAM path, batched run loop) for A/B\n"
+      "                    comparison against a default campaign\n"
       "  --replay FILE     differentially execute one .s repro and exit\n"
       "  --faults          run the fault-injection campaign instead of the\n"
       "                    differential fuzzer (exit 1 on any silent\n"
