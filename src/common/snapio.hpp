@@ -18,7 +18,6 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstring>
 #include <deque>
 #include <memory>
@@ -61,7 +60,6 @@ class SnapWriter {
     u32v(static_cast<u32>(v >> 32));
   }
   void i64v(i64 v) { u64v(static_cast<u64>(v)); }
-  void f64v(double v) { u64v(std::bit_cast<u64>(v)); }
   void tag(u32 t) { u32v(t); }
 
   void bytes(const Bytes& v) {
@@ -82,10 +80,6 @@ class SnapWriter {
   void vec_u32(const std::vector<u32>& v) {
     u64v(v.size());
     for (u32 x : v) u32v(x);
-  }
-  void vec_u64(const std::vector<u64>& v) {
-    u64v(v.size());
-    for (u64 x : v) u64v(x);
   }
   void vec_i64(const std::vector<i64>& v) {
     u64v(v.size());
@@ -134,7 +128,6 @@ class SnapReader {
     return lo | (u64{u32v()} << 32);
   }
   i64 i64v() { return static_cast<i64>(u64v()); }
-  double f64v() { return std::bit_cast<double>(u64v()); }
 
   /// Reads a tag and fails the stream if it is not the expected one.
   bool expect(u32 t) {
@@ -177,12 +170,6 @@ class SnapReader {
     const u64 n = len(4);
     std::vector<u32> v(n);
     for (auto& x : v) x = u32v();
-    return v;
-  }
-  std::vector<u64> vec_u64() {
-    const u64 n = len(8);
-    std::vector<u64> v(n);
-    for (auto& x : v) x = u64v();
     return v;
   }
   std::vector<i64> vec_i64() {

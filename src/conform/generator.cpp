@@ -21,23 +21,7 @@ std::vector<Mnemonic> corpus_mnemonics() {
 }
 
 std::string corpus_key(Mnemonic mn) {
-  switch (mn) {
-    case Mnemonic::kRdy: return "rdy";
-    case Mnemonic::kRdasr: return "rdasr";
-    case Mnemonic::kRdpsr: return "rdpsr";
-    case Mnemonic::kRdwim: return "rdwim";
-    case Mnemonic::kRdtbr: return "rdtbr";
-    case Mnemonic::kWry: return "wry";
-    case Mnemonic::kWrasr: return "wrasr";
-    case Mnemonic::kWrpsr: return "wrpsr";
-    case Mnemonic::kWrwim: return "wrwim";
-    case Mnemonic::kWrtbr: return "wrtbr";
-    case Mnemonic::kBicc: return "bicc";
-    case Mnemonic::kTicc: return "ticc";
-    case Mnemonic::kFbfcc: return "fbfcc";
-    case Mnemonic::kCbccc: return "cbccc";
-    default: return std::string(isa::mnemonic_name(mn));
-  }
+  return std::string(isa::op_info(mn).key);
 }
 
 Mnemonic mnemonic_from_key(const std::string& key) {

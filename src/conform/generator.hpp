@@ -41,9 +41,10 @@ inline constexpr int kDefaultCases = 10;
 /// checks the committed corpus against.
 std::vector<isa::Mnemonic> corpus_mnemonics();
 
-/// Unique lower-case corpus key for a mnemonic (mnemonic_name() collides
-/// for the rd/wr state-register group and the branch/trap families, so
-/// those get their full names: "rdy", "wrpsr", "bicc", "ticc", ...).
+/// Unique lower-case corpus key for a mnemonic, its LA_SPARC_OPS key
+/// column (mnemonic_name() collides for the rd/wr state-register group
+/// and the branch/trap families, so those get their full names: "rdy",
+/// "wrpsr", "bicc", "ticc", ...).
 std::string corpus_key(isa::Mnemonic mn);
 
 /// Inverse of corpus_key(); kInvalid for an unknown key.

@@ -10,11 +10,12 @@
 //   LA_MEM_OPS  the plain integer loads and stores.
 // Everything else (ldd/std with an odd rd, the atomics, the alternate-
 // space ops, control transfers but Bicc, multiply/divide, window and state
-// register ops) keeps the execute() token.
+// register ops, and andncc, orn, orncc and xnorcc) keeps the execute()
+// token.
 //
 // LA_ALU_OPS(M) expands M(label stem, Mnemonic enumerator, body) once per
-// inline op.  Each body mirrors the corresponding case of
-// SparcCore::execute(): A and B are the operands (rs1 and rs2-or-simm13;
+// inline op.  SparcCore::execute() expands the same list for its cases, so
+// each body exists once.  A and B are the operands (rs1 and rs2-or-simm13;
 // sethi's B is its pre-shifted imm22), and the body relies on three hooks
 // the expansion site defines:
 //   LA_ALU_RD(v)          write v to rd
@@ -22,10 +23,11 @@
 //   LA_ALU_SUBX_NO_CARRY  CpuConfig::quirk_subx_no_carry
 //
 // LA_MEM_OPS(M) expands M(label stem, Mnemonic enumerator, LOAD or STORE,
-// access size, CpuConfig extra-cycle field, body) once per inline op; the
-// address is rs1 + (rs2 or simm13), and the bodies mirror execute()'s
-// load/store tail.  A LOAD body moves the big-endian value read, V (u64),
-// into registers; a STORE body is the value to write.  Hooks:
+// CpuConfig extra-cycle field, body) once per inline op; the access size
+// is isa::access_size() of the enumerator, the address is rs1 + (rs2 or
+// simm13), and the bodies mirror execute()'s load/store tail.  A LOAD body
+// moves the big-endian value read, V (u64), into registers; a STORE body
+// is the value to write.  Hooks:
 //   LA_MEM_RD(v)   write v to rd       LA_MEM_RS   the value of rd
 //   LA_MEM_RD1(v)  write v to rd | 1   LA_MEM_RS1  the value of rd | 1
 // The doubleword ops' odd-rd encodings trap (illegal_instruction) and are
@@ -99,17 +101,17 @@ inline void icc_sub(Psr& p, u32 a, u32 b, u32 r, bool carry_in) {
     LA_ALU_RD(r))
 
 #define LA_MEM_OPS(M)                                                      \
-  M(ld, kLd, LOAD, 4, load_extra, LA_MEM_RD(static_cast<u32>(V)))          \
-  M(ldub, kLdub, LOAD, 1, load_extra, LA_MEM_RD(static_cast<u32>(V)))      \
-  M(lduh, kLduh, LOAD, 2, load_extra, LA_MEM_RD(static_cast<u32>(V)))      \
-  M(ldsb, kLdsb, LOAD, 1, load_extra,                                      \
+  M(ld, kLd, LOAD, load_extra, LA_MEM_RD(static_cast<u32>(V)))             \
+  M(ldub, kLdub, LOAD, load_extra, LA_MEM_RD(static_cast<u32>(V)))         \
+  M(lduh, kLduh, LOAD, load_extra, LA_MEM_RD(static_cast<u32>(V)))         \
+  M(ldsb, kLdsb, LOAD, load_extra,                                         \
     LA_MEM_RD(static_cast<u32>(sign_extend(static_cast<u32>(V), 8))))      \
-  M(ldsh, kLdsh, LOAD, 2, load_extra,                                      \
+  M(ldsh, kLdsh, LOAD, load_extra,                                         \
     LA_MEM_RD(static_cast<u32>(sign_extend(static_cast<u32>(V), 16))))     \
-  M(ldd, kLdd, LOAD, 8, load_double_extra,                                 \
+  M(ldd, kLdd, LOAD, load_double_extra,                                    \
     LA_MEM_RD(static_cast<u32>(V >> 32)); LA_MEM_RD1(static_cast<u32>(V))) \
-  M(st, kSt, STORE, 4, store_extra, LA_MEM_RS)                             \
-  M(stb, kStb, STORE, 1, store_extra, LA_MEM_RS)                           \
-  M(sth, kSth, STORE, 2, store_extra, LA_MEM_RS)                           \
-  M(std, kStd, STORE, 8, store_double_extra,                               \
+  M(st, kSt, STORE, store_extra, LA_MEM_RS)                                \
+  M(stb, kStb, STORE, store_extra, LA_MEM_RS)                              \
+  M(sth, kSth, STORE, store_extra, LA_MEM_RS)                              \
+  M(std, kStd, STORE, store_double_extra,                                  \
     (u64{LA_MEM_RS} << 32) | LA_MEM_RS1)

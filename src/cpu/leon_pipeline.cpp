@@ -877,10 +877,12 @@ u64 LeonPipeline::run_lines(const RunWindow& w) {
     LA_LT_MEM_RETIRE(stores)                                            \
     goto after_bus;                                                     \
   }
-#define LA_LT_MEM_REG(name, mn, kind, size, extra, ...) \
-  LA_LT_##kind(lab_##name, *rp[op->b], size, extra, __VA_ARGS__)
-#define LA_LT_MEM_IMM(name, mn, kind, size, extra, ...) \
-  LA_LT_##kind(lab_##name##_i, op->imm, size, extra, __VA_ARGS__)
+#define LA_LT_MEM_REG(name, mn, kind, extra, ...)                        \
+  LA_LT_##kind(lab_##name, *rp[op->b], isa::access_size(Mnemonic::mn),    \
+               extra, __VA_ARGS__)
+#define LA_LT_MEM_IMM(name, mn, kind, extra, ...)                        \
+  LA_LT_##kind(lab_##name##_i, op->imm, isa::access_size(Mnemonic::mn),  \
+               extra, __VA_ARGS__)
 
   if (max_steps == 0 || st.error_mode || pc == halt_pc) goto out;
   if (wedged_ || irq_pending()) goto slow;

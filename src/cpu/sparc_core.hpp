@@ -193,56 +193,31 @@ u8 SparcCore<Model>::execute(Model& m, const isa::Instruction& ins,
       m.flush_line(a + b, res);
       return kNoTrap;
 
-    // -- SETHI ----------------------------------------------------------
-    case Mnemonic::kSethi:
-      st.set_reg(ins.rd, ins.imm22 << 10);
-      return kNoTrap;
+    // -- SETHI and the line tier's ALU ops: LA_ALU_OPS (cpu/alu_ops.hpp),
+    //    where sethi's B is its shifted imm22 ------------------------------
+#define LA_ALU_RD(v) st.set_reg(ins.rd, (v))
+#define LA_ALU_PSR st.psr
+#define LA_ALU_SUBX_NO_CARRY cfg.quirk_subx_no_carry
+#define LA_CORE_ALU(name, mn, ...)                                  \
+    case Mnemonic::mn: {                                            \
+      const u32 A = a;                                              \
+      const u32 B =                                                 \
+          Mnemonic::mn == Mnemonic::kSethi ? ins.imm22 << 10 : b;   \
+      (void)A;                                                      \
+      __VA_ARGS__;                                                  \
+      return kNoTrap;                                               \
+    }
+    LA_ALU_OPS(LA_CORE_ALU)
+#undef LA_CORE_ALU
+#undef LA_ALU_SUBX_NO_CARRY
+#undef LA_ALU_PSR
+#undef LA_ALU_RD
 
-    // -- Logical --------------------------------------------------------
-    case Mnemonic::kAnd: st.set_reg(ins.rd, a & b); return kNoTrap;
-    case Mnemonic::kAndcc: { const u32 r = a & b; icc_logic(st.psr, r); st.set_reg(ins.rd, r); return kNoTrap; }
-    case Mnemonic::kAndn: st.set_reg(ins.rd, a & ~b); return kNoTrap;
+    // -- The logical ops the line tier leaves to execute() ----------------
     case Mnemonic::kAndncc: { const u32 r = a & ~b; icc_logic(st.psr, r); st.set_reg(ins.rd, r); return kNoTrap; }
-    case Mnemonic::kOr: st.set_reg(ins.rd, a | b); return kNoTrap;
-    case Mnemonic::kOrcc: { const u32 r = a | b; icc_logic(st.psr, r); st.set_reg(ins.rd, r); return kNoTrap; }
     case Mnemonic::kOrn: st.set_reg(ins.rd, a | ~b); return kNoTrap;
     case Mnemonic::kOrncc: { const u32 r = a | ~b; icc_logic(st.psr, r); st.set_reg(ins.rd, r); return kNoTrap; }
-    case Mnemonic::kXor: st.set_reg(ins.rd, a ^ b); return kNoTrap;
-    case Mnemonic::kXorcc: { const u32 r = a ^ b; icc_logic(st.psr, r); st.set_reg(ins.rd, r); return kNoTrap; }
-    case Mnemonic::kXnor: st.set_reg(ins.rd, a ^ ~b); return kNoTrap;
     case Mnemonic::kXnorcc: { const u32 r = a ^ ~b; icc_logic(st.psr, r); st.set_reg(ins.rd, r); return kNoTrap; }
-
-    // -- Shifts (count is the low 5 bits of operand2) --------------------
-    case Mnemonic::kSll: st.set_reg(ins.rd, a << (b & 31)); return kNoTrap;
-    case Mnemonic::kSrl: st.set_reg(ins.rd, a >> (b & 31)); return kNoTrap;
-    case Mnemonic::kSra:
-      st.set_reg(ins.rd,
-                 static_cast<u32>(static_cast<i32>(a) >> (b & 31)));
-      return kNoTrap;
-
-    // -- Add / subtract ---------------------------------------------------
-    case Mnemonic::kAdd: st.set_reg(ins.rd, a + b); return kNoTrap;
-    case Mnemonic::kAddcc: { const u32 r = a + b; icc_add(st.psr, a, b, r, false); st.set_reg(ins.rd, r); return kNoTrap; }
-    case Mnemonic::kAddx: st.set_reg(ins.rd, a + b + (st.psr.c ? 1 : 0)); return kNoTrap;
-    case Mnemonic::kAddxcc: {
-      const bool cin = st.psr.c;
-      const u32 r = a + b + (cin ? 1 : 0);
-      icc_add(st.psr, a, b, r, cin);
-      st.set_reg(ins.rd, r);
-      return kNoTrap;
-    }
-    case Mnemonic::kSub: st.set_reg(ins.rd, a - b); return kNoTrap;
-    case Mnemonic::kSubcc: { const u32 r = a - b; icc_sub(st.psr, a, b, r, false); st.set_reg(ins.rd, r); return kNoTrap; }
-    case Mnemonic::kSubx:
-      st.set_reg(ins.rd, a - b - (!cfg.quirk_subx_no_carry && st.psr.c ? 1 : 0));
-      return kNoTrap;
-    case Mnemonic::kSubxcc: {
-      const bool cin = st.psr.c;
-      const u32 r = a - b - (cin ? 1 : 0);
-      icc_sub(st.psr, a, b, r, cin);
-      st.set_reg(ins.rd, r);
-      return kNoTrap;
-    }
 
     // -- Tagged arithmetic ------------------------------------------------
     case Mnemonic::kTaddcc:
@@ -481,10 +456,9 @@ u8 SparcCore<Model>::execute(Model& m, const isa::Instruction& ins,
       res.cycles = 1 + cfg.load_double_extra + r.cycles;
     } else {
       u32 v = static_cast<u32>(r.value);
-      const bool sign =
-          ins.mn == Mnemonic::kLdsb || ins.mn == Mnemonic::kLdsh ||
-          ins.mn == Mnemonic::kLdsba || ins.mn == Mnemonic::kLdsha;
-      if (sign) v = static_cast<u32>(sign_extend(v, size * 8));
+      if (isa::op_info(ins.mn).flags & isa::kSigned) {
+        v = static_cast<u32>(sign_extend(v, size * 8));
+      }
       st.set_reg(ins.rd, v);
       res.cycles = 1 + cfg.load_extra + r.cycles;
     }

@@ -402,25 +402,4 @@ Status LiquidClient::await_done(u64 max_steps) {
   return e;
 }
 
-void LiquidClient::bind_metrics(metrics::MetricsRegistry& reg,
-                                const std::string& prefix) {
-  const auto cnt = [&reg, &prefix](const std::string& name, const u64* v) {
-    reg.register_fn(prefix + name,
-                    [v]() { return static_cast<double>(*v); });
-  };
-  cnt("commands_sent", &stats_.commands_sent);
-  cnt("retries", &stats_.retries);
-  cnt("responses", &stats_.responses);
-  cnt("gave_up", &stats_.gave_up);
-  cnt("stale_responses", &stats_.stale_responses);
-  cnt("node_errors", &stats_.node_errors);
-  cnt("deadline_expiries", &stats_.deadline_expiries);
-  cnt("uplink.dropped", &up_.stats().dropped);
-  cnt("uplink.corrupted", &up_.stats().corrupted);
-  cnt("uplink.truncated", &up_.stats().truncated);
-  cnt("downlink.dropped", &down_.stats().dropped);
-  cnt("downlink.corrupted", &down_.stats().corrupted);
-  cnt("downlink.truncated", &down_.stats().truncated);
-}
-
 }  // namespace la::ctrl

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/span_log.hpp"
 #include "net/channel.hpp"
@@ -186,12 +185,6 @@ class LiquidClient {
   const net::Channel& downlink() const { return down_; }
   net::Channel& uplink_mut() { return up_; }
   net::Channel& downlink_mut() { return down_; }
-
-  /// Bridge this client's stats into `reg` under `prefix` (e.g.
-  /// "client.").  Lossy-link debugging reads them next to the node's own
-  /// channel counters.
-  void bind_metrics(metrics::MetricsRegistry& reg,
-                    const std::string& prefix = "client.");
 
  private:
   void send_command(Bytes payload);

@@ -59,7 +59,6 @@ class CoverageMap {
   std::size_t novelty(const CoverageSample& sample) const;
 
   std::size_t feature_count() const { return features_; }
-  std::size_t mnemonic_count() const { return seen_.mnemonics.count(); }
   std::size_t trap_count() const { return seen_.traps.count(); }
 
   /// One-line human summary for fuzzer progress output.

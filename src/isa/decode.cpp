@@ -1,95 +1,52 @@
 #include "isa/decode.hpp"
 
+#include <array>
+
 #include "common/bits.hpp"
 
 namespace la::isa {
 namespace {
 
-/// op=2 op3 field -> mnemonic (kInvalid where the manual leaves a hole).
-constexpr Mnemonic kArithOp3[64] = {
-    /*0x00*/ Mnemonic::kAdd,      Mnemonic::kAnd,     Mnemonic::kOr,
-    /*0x03*/ Mnemonic::kXor,      Mnemonic::kSub,     Mnemonic::kAndn,
-    /*0x06*/ Mnemonic::kOrn,      Mnemonic::kXnor,    Mnemonic::kAddx,
-    /*0x09*/ Mnemonic::kInvalid,  Mnemonic::kUmul,    Mnemonic::kSmul,
-    /*0x0c*/ Mnemonic::kSubx,     Mnemonic::kInvalid, Mnemonic::kUdiv,
-    /*0x0f*/ Mnemonic::kSdiv,
-    /*0x10*/ Mnemonic::kAddcc,    Mnemonic::kAndcc,   Mnemonic::kOrcc,
-    /*0x13*/ Mnemonic::kXorcc,    Mnemonic::kSubcc,   Mnemonic::kAndncc,
-    /*0x16*/ Mnemonic::kOrncc,    Mnemonic::kXnorcc,  Mnemonic::kAddxcc,
-    /*0x19*/ Mnemonic::kInvalid,  Mnemonic::kUmulcc,  Mnemonic::kSmulcc,
-    /*0x1c*/ Mnemonic::kSubxcc,   Mnemonic::kInvalid, Mnemonic::kUdivcc,
-    /*0x1f*/ Mnemonic::kSdivcc,
-    /*0x20*/ Mnemonic::kTaddcc,   Mnemonic::kTsubcc,  Mnemonic::kTaddcctv,
-    /*0x23*/ Mnemonic::kTsubcctv, Mnemonic::kMulscc,  Mnemonic::kSll,
-    /*0x26*/ Mnemonic::kSrl,      Mnemonic::kSra,     Mnemonic::kRdy,
-    /*0x29*/ Mnemonic::kRdpsr,    Mnemonic::kRdwim,   Mnemonic::kRdtbr,
-    /*0x2c*/ Mnemonic::kInvalid,  Mnemonic::kInvalid, Mnemonic::kInvalid,
-    /*0x2f*/ Mnemonic::kInvalid,
-    /*0x30*/ Mnemonic::kWry,      Mnemonic::kWrpsr,   Mnemonic::kWrwim,
-    /*0x33*/ Mnemonic::kWrtbr,    Mnemonic::kFpop1,   Mnemonic::kFpop2,
-    /*0x36*/ Mnemonic::kCpop1,    Mnemonic::kCpop2,   Mnemonic::kJmpl,
-    /*0x39*/ Mnemonic::kRett,     Mnemonic::kTicc,    Mnemonic::kFlush,
-    /*0x3c*/ Mnemonic::kSave,     Mnemonic::kRestore, Mnemonic::kInvalid,
-    /*0x3f*/ Mnemonic::kInvalid,
-};
-
-/// op=3 op3 field -> mnemonic.
-constexpr Mnemonic kMemOp3[64] = {
-    /*0x00*/ Mnemonic::kLd,      Mnemonic::kLdub,    Mnemonic::kLduh,
-    /*0x03*/ Mnemonic::kLdd,     Mnemonic::kSt,      Mnemonic::kStb,
-    /*0x06*/ Mnemonic::kSth,     Mnemonic::kStd,     Mnemonic::kInvalid,
-    /*0x09*/ Mnemonic::kLdsb,    Mnemonic::kLdsh,    Mnemonic::kInvalid,
-    /*0x0c*/ Mnemonic::kInvalid, Mnemonic::kLdstub,  Mnemonic::kInvalid,
-    /*0x0f*/ Mnemonic::kSwap,
-    /*0x10*/ Mnemonic::kLda,     Mnemonic::kLduba,   Mnemonic::kLduha,
-    /*0x13*/ Mnemonic::kLdda,    Mnemonic::kSta,     Mnemonic::kStba,
-    /*0x16*/ Mnemonic::kStha,    Mnemonic::kStda,    Mnemonic::kInvalid,
-    /*0x19*/ Mnemonic::kLdsba,   Mnemonic::kLdsha,   Mnemonic::kInvalid,
-    /*0x1c*/ Mnemonic::kInvalid, Mnemonic::kLdstuba, Mnemonic::kInvalid,
-    /*0x1f*/ Mnemonic::kSwapa,
-    /*0x20*/ Mnemonic::kLdf,     Mnemonic::kLdfsr,   Mnemonic::kInvalid,
-    /*0x23*/ Mnemonic::kLddf,    Mnemonic::kStf,     Mnemonic::kStfsr,
-    /*0x26*/ Mnemonic::kStdfq,   Mnemonic::kStdf,    Mnemonic::kInvalid,
-    /*0x29*/ Mnemonic::kInvalid, Mnemonic::kInvalid, Mnemonic::kInvalid,
-    /*0x2c*/ Mnemonic::kInvalid, Mnemonic::kInvalid, Mnemonic::kInvalid,
-    /*0x2f*/ Mnemonic::kInvalid,
-    /*0x30*/ Mnemonic::kLdc,     Mnemonic::kLdcsr,   Mnemonic::kInvalid,
-    /*0x33*/ Mnemonic::kLddc,    Mnemonic::kStc,     Mnemonic::kStcsr,
-    /*0x36*/ Mnemonic::kStdcq,   Mnemonic::kStdc,    Mnemonic::kInvalid,
-    /*0x39*/ Mnemonic::kInvalid, Mnemonic::kInvalid, Mnemonic::kInvalid,
-    /*0x3c*/ Mnemonic::kInvalid, Mnemonic::kInvalid, Mnemonic::kInvalid,
-    /*0x3f*/ Mnemonic::kInvalid,
-};
+/// (op, op3) -> mnemonic, built from LA_SPARC_OPS: op3 is op2 for format
+/// 0, and kInvalid fills the holes the manual leaves.  The first row wins,
+/// so RDY's and WRY's opcodes decode to them, and decode_format23() picks
+/// RDASR and WRASR by rs1 and rd.
+constexpr auto kByOp3 = [] {
+  std::array<std::array<Mnemonic, 64>, 4> t{};
+  for (std::size_t i = 0; i < std::size(kOps); ++i) {
+    Mnemonic& slot = t[kOps[i].op][kOps[i].op3];
+    if (slot == Mnemonic::kInvalid) slot = static_cast<Mnemonic>(i);
+  }
+  return t;
+}();
+static_assert(kByOp3[2][0x28] == Mnemonic::kRdy);
+static_assert(kByOp3[2][0x30] == Mnemonic::kWry);
 
 Instruction decode_format0(u32 w) {
   Instruction ins;
   ins.raw = w;
-  const u32 op2 = bits(w, 24, 22);
-  switch (op2) {
-    case 0:  // UNIMP
-      ins.mn = Mnemonic::kUnimp;
+  ins.mn = kByOp3[0][bits(w, 24, 22)];
+  switch (ins.mn) {
+    case Mnemonic::kUnimp:
       ins.imm22 = bits(w, 21, 0);
-      return ins;
-    case 4:  // SETHI
-      ins.mn = Mnemonic::kSethi;
+      break;
+    case Mnemonic::kSethi:
       ins.rd = static_cast<u8>(bits(w, 29, 25));
       ins.imm22 = bits(w, 21, 0);
       // SETHI with rd=0, imm=0 is the canonical NOP; it needs no special
       // mnemonic — writing %g0 is architecturally a no-op anyway.
-      return ins;
-    case 2:  // Bicc
-    case 6:  // FBfcc
-    case 7:  // CBccc
-      ins.mn = (op2 == 2)   ? Mnemonic::kBicc
-               : (op2 == 6) ? Mnemonic::kFbfcc
-                            : Mnemonic::kCbccc;
+      break;
+    case Mnemonic::kBicc:
+    case Mnemonic::kFbfcc:
+    case Mnemonic::kCbccc:
       ins.cond = static_cast<Cond>(bits(w, 28, 25));
       ins.annul = bit(w, 29) != 0;
       ins.disp = sign_extend(bits(w, 21, 0), 22);
-      return ins;
+      break;
     default:
-      return ins;  // invalid
+      break;  // invalid
   }
+  return ins;
 }
 
 Instruction decode_format23(u32 w) {
@@ -97,7 +54,7 @@ Instruction decode_format23(u32 w) {
   ins.raw = w;
   const u32 op = bits(w, 31, 30);
   const u32 op3 = bits(w, 24, 19);
-  ins.mn = (op == 2) ? kArithOp3[op3] : kMemOp3[op3];
+  ins.mn = kByOp3[op][op3];
   ins.rd = static_cast<u8>(bits(w, 29, 25));
   ins.rs1 = static_cast<u8>(bits(w, 18, 14));
   ins.imm = bit(w, 13) != 0;

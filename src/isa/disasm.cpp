@@ -118,25 +118,18 @@ std::string disassemble(const Instruction& ins, Addr pc) {
     default:
       break;
   }
-  if (is_load(ins.mn) && !is_store(ins.mn)) {
+  if (is_load(ins.mn)) {
+    // Loads, and the atomics (ldstub/swap), which read and write.
     std::string s{mnemonic_name(ins.mn)};
     s += " " + addr_str(ins);
     if (is_alternate_space(ins.mn)) s += " " + std::to_string(ins.asi);
     s += ", " + reg_name(ins.rd);
     return s;
   }
-  if (is_store(ins.mn) && !is_load(ins.mn)) {
+  if (is_store(ins.mn)) {
     std::string s{mnemonic_name(ins.mn)};
     s += " " + reg_name(ins.rd) + ", " + addr_str(ins);
     if (is_alternate_space(ins.mn)) s += " " + std::to_string(ins.asi);
-    return s;
-  }
-  if (is_load(ins.mn) && is_store(ins.mn)) {
-    // Atomics: ldstub/swap read and write.
-    std::string s{mnemonic_name(ins.mn)};
-    s += " " + addr_str(ins);
-    if (is_alternate_space(ins.mn)) s += " " + std::to_string(ins.asi);
-    s += ", " + reg_name(ins.rd);
     return s;
   }
   return three_op(ins);

@@ -7,72 +7,10 @@
 namespace la::isa {
 namespace {
 
-struct Op3Entry {
-  Mnemonic mn;
-  u32 op;   // 2 or 3
-  u32 op3;
-};
-
-constexpr Op3Entry kOp3Table[] = {
-    {Mnemonic::kAdd, 2, 0x00},      {Mnemonic::kAnd, 2, 0x01},
-    {Mnemonic::kOr, 2, 0x02},       {Mnemonic::kXor, 2, 0x03},
-    {Mnemonic::kSub, 2, 0x04},      {Mnemonic::kAndn, 2, 0x05},
-    {Mnemonic::kOrn, 2, 0x06},      {Mnemonic::kXnor, 2, 0x07},
-    {Mnemonic::kAddx, 2, 0x08},     {Mnemonic::kUmul, 2, 0x0a},
-    {Mnemonic::kSmul, 2, 0x0b},     {Mnemonic::kSubx, 2, 0x0c},
-    {Mnemonic::kUdiv, 2, 0x0e},     {Mnemonic::kSdiv, 2, 0x0f},
-    {Mnemonic::kAddcc, 2, 0x10},    {Mnemonic::kAndcc, 2, 0x11},
-    {Mnemonic::kOrcc, 2, 0x12},     {Mnemonic::kXorcc, 2, 0x13},
-    {Mnemonic::kSubcc, 2, 0x14},    {Mnemonic::kAndncc, 2, 0x15},
-    {Mnemonic::kOrncc, 2, 0x16},    {Mnemonic::kXnorcc, 2, 0x17},
-    {Mnemonic::kAddxcc, 2, 0x18},   {Mnemonic::kUmulcc, 2, 0x1a},
-    {Mnemonic::kSmulcc, 2, 0x1b},   {Mnemonic::kSubxcc, 2, 0x1c},
-    {Mnemonic::kUdivcc, 2, 0x1e},   {Mnemonic::kSdivcc, 2, 0x1f},
-    {Mnemonic::kTaddcc, 2, 0x20},   {Mnemonic::kTsubcc, 2, 0x21},
-    {Mnemonic::kTaddcctv, 2, 0x22}, {Mnemonic::kTsubcctv, 2, 0x23},
-    {Mnemonic::kMulscc, 2, 0x24},   {Mnemonic::kSll, 2, 0x25},
-    {Mnemonic::kSrl, 2, 0x26},      {Mnemonic::kSra, 2, 0x27},
-    {Mnemonic::kRdy, 2, 0x28},      {Mnemonic::kRdasr, 2, 0x28},
-    {Mnemonic::kRdpsr, 2, 0x29},    {Mnemonic::kRdwim, 2, 0x2a},
-    {Mnemonic::kRdtbr, 2, 0x2b},    {Mnemonic::kWry, 2, 0x30},
-    {Mnemonic::kWrasr, 2, 0x30},    {Mnemonic::kWrpsr, 2, 0x31},
-    {Mnemonic::kWrwim, 2, 0x32},    {Mnemonic::kWrtbr, 2, 0x33},
-    {Mnemonic::kFpop1, 2, 0x34},    {Mnemonic::kFpop2, 2, 0x35},
-    {Mnemonic::kCpop1, 2, 0x36},    {Mnemonic::kCpop2, 2, 0x37},
-    {Mnemonic::kJmpl, 2, 0x38},     {Mnemonic::kRett, 2, 0x39},
-    {Mnemonic::kTicc, 2, 0x3a},     {Mnemonic::kFlush, 2, 0x3b},
-    {Mnemonic::kSave, 2, 0x3c},     {Mnemonic::kRestore, 2, 0x3d},
-    {Mnemonic::kLd, 3, 0x00},       {Mnemonic::kLdub, 3, 0x01},
-    {Mnemonic::kLduh, 3, 0x02},     {Mnemonic::kLdd, 3, 0x03},
-    {Mnemonic::kSt, 3, 0x04},       {Mnemonic::kStb, 3, 0x05},
-    {Mnemonic::kSth, 3, 0x06},      {Mnemonic::kStd, 3, 0x07},
-    {Mnemonic::kLdsb, 3, 0x09},     {Mnemonic::kLdsh, 3, 0x0a},
-    {Mnemonic::kLdstub, 3, 0x0d},   {Mnemonic::kSwap, 3, 0x0f},
-    {Mnemonic::kLda, 3, 0x10},      {Mnemonic::kLduba, 3, 0x11},
-    {Mnemonic::kLduha, 3, 0x12},    {Mnemonic::kLdda, 3, 0x13},
-    {Mnemonic::kSta, 3, 0x14},      {Mnemonic::kStba, 3, 0x15},
-    {Mnemonic::kStha, 3, 0x16},     {Mnemonic::kStda, 3, 0x17},
-    {Mnemonic::kLdsba, 3, 0x19},    {Mnemonic::kLdsha, 3, 0x1a},
-    {Mnemonic::kLdstuba, 3, 0x1d},  {Mnemonic::kSwapa, 3, 0x1f},
-    {Mnemonic::kLdf, 3, 0x20},      {Mnemonic::kLdfsr, 3, 0x21},
-    {Mnemonic::kLddf, 3, 0x23},     {Mnemonic::kStf, 3, 0x24},
-    {Mnemonic::kStfsr, 3, 0x25},    {Mnemonic::kStdfq, 3, 0x26},
-    {Mnemonic::kStdf, 3, 0x27},     {Mnemonic::kLdc, 3, 0x30},
-    {Mnemonic::kLdcsr, 3, 0x31},    {Mnemonic::kLddc, 3, 0x33},
-    {Mnemonic::kStc, 3, 0x34},      {Mnemonic::kStcsr, 3, 0x35},
-    {Mnemonic::kStdcq, 3, 0x36},    {Mnemonic::kStdc, 3, 0x37},
-};
-
-const Op3Entry* lookup(Mnemonic m) {
-  for (const auto& e : kOp3Table) {
-    if (e.mn == m) return &e;
-  }
-  return nullptr;
-}
-
-u32 fmt23(u32 op, u32 op3, u8 rd, u8 rs1, bool imm, i32 simm13, u8 rs2,
-          u8 asi) {
-  u32 w = (op << 30) | ((u32{rd} & 0x1fu) << 25) | (op3 << 19) |
+/// The format-2/3 layout, op and op3 from `m`'s row.
+u32 fmt23(Mnemonic m, u8 rd, u8 rs1, bool imm, i32 simm13, u8 rs2, u8 asi) {
+  const OpInfo& r = op_info(m);
+  u32 w = (u32{r.op} << 30) | ((u32{rd} & 0x1fu) << 25) | (u32{r.op3} << 19) |
           ((u32{rs1} & 0x1fu) << 14);
   if (imm) {
     w |= (1u << 13) | (static_cast<u32>(simm13) & 0x1fff);
@@ -82,55 +20,52 @@ u32 fmt23(u32 op, u32 op3, u8 rd, u8 rs1, bool imm, i32 simm13, u8 rs2,
   return w;
 }
 
-}  // namespace
-
-u32 op3_of(Mnemonic m) {
-  const Op3Entry* e = lookup(m);
-  assert(e != nullptr);
-  return e->op3;
+/// The Bicc / FBfcc / CBccc layout, op2 from `m`'s row.
+u32 branch(Mnemonic m, Cond c, bool annul, i32 disp22) {
+  return (annul ? (1u << 29) : 0u) | (static_cast<u32>(c) << 25) |
+         (u32{op_info(m).op3} << 22) | (static_cast<u32>(disp22) & 0x3fffffu);
 }
+
+}  // namespace
 
 u32 encode_call(i32 disp30) {
   return (1u << 30) | (static_cast<u32>(disp30) & 0x3fffffffu);
 }
 
 u32 encode_sethi(u8 rd, u32 imm22) {
-  return ((u32{rd} & 0x1fu) << 25) | (4u << 22) | (imm22 & 0x3fffffu);
+  const u32 op2 = op_info(Mnemonic::kSethi).op3;
+  return ((u32{rd} & 0x1fu) << 25) | (op2 << 22) | (imm22 & 0x3fffffu);
 }
 
 u32 encode_branch(Cond c, bool annul, i32 disp22) {
-  return (annul ? (1u << 29) : 0u) | (static_cast<u32>(c) << 25) |
-         (2u << 22) | (static_cast<u32>(disp22) & 0x3fffffu);
+  return branch(Mnemonic::kBicc, c, annul, disp22);
 }
 
 u32 encode_arith_rr(Mnemonic m, u8 rd, u8 rs1, u8 rs2) {
-  const Op3Entry* e = lookup(m);
-  assert(e != nullptr && e->op == 2);
-  return fmt23(2, e->op3, rd, rs1, false, 0, rs2, 0);
+  assert(op_info(m).op == 2);
+  return fmt23(m, rd, rs1, false, 0, rs2, 0);
 }
 
 u32 encode_arith_ri(Mnemonic m, u8 rd, u8 rs1, i32 simm13) {
-  const Op3Entry* e = lookup(m);
-  assert(e != nullptr && e->op == 2);
+  assert(op_info(m).op == 2);
   assert(simm13 >= -4096 && simm13 <= 4095);
-  return fmt23(2, e->op3, rd, rs1, true, simm13, 0, 0);
+  return fmt23(m, rd, rs1, true, simm13, 0, 0);
 }
 
 u32 encode_mem_rr(Mnemonic m, u8 rd, u8 rs1, u8 rs2, u8 asi) {
-  const Op3Entry* e = lookup(m);
-  assert(e != nullptr && e->op == 3);
-  return fmt23(3, e->op3, rd, rs1, false, 0, rs2, asi);
+  assert(op_info(m).op == 3);
+  return fmt23(m, rd, rs1, false, 0, rs2, asi);
 }
 
 u32 encode_mem_ri(Mnemonic m, u8 rd, u8 rs1, i32 simm13) {
-  const Op3Entry* e = lookup(m);
-  assert(e != nullptr && e->op == 3);
+  assert(op_info(m).op == 3);
   assert(simm13 >= -4096 && simm13 <= 4095);
-  return fmt23(3, e->op3, rd, rs1, true, simm13, 0, 0);
+  return fmt23(m, rd, rs1, true, simm13, 0, 0);
 }
 
 u32 encode_ticc(Cond c, u8 rs1, i32 simm7) {
-  return fmt23(2, 0x3a, static_cast<u8>(c), rs1, true, simm7 & 0x7f, 0, 0);
+  return fmt23(Mnemonic::kTicc, static_cast<u8>(c), rs1, true, simm7 & 0x7f,
+               0, 0);
 }
 
 u32 encode_nop() { return encode_sethi(0, 0); }
@@ -145,35 +80,24 @@ u32 encode(const Instruction& ins) {
     case Mnemonic::kSethi:
       return encode_sethi(ins.rd, ins.imm22);
     case Mnemonic::kBicc:
-      return encode_branch(ins.cond, ins.annul, ins.disp);
     case Mnemonic::kFbfcc:
-      return (ins.annul ? (1u << 29) : 0u) |
-             (static_cast<u32>(ins.cond) << 25) | (6u << 22) |
-             (static_cast<u32>(ins.disp) & 0x3fffffu);
     case Mnemonic::kCbccc:
-      return (ins.annul ? (1u << 29) : 0u) |
-             (static_cast<u32>(ins.cond) << 25) | (7u << 22) |
-             (static_cast<u32>(ins.disp) & 0x3fffffu);
-    case Mnemonic::kTicc: {
-      u32 w = fmt23(2, 0x3a, static_cast<u8>(ins.cond), ins.rs1, ins.imm,
-                    ins.simm13, ins.rs2, 0);
-      return w;
-    }
+      return branch(ins.mn, ins.cond, ins.annul, ins.disp);
+    case Mnemonic::kTicc:
+      return fmt23(ins.mn, static_cast<u8>(ins.cond), ins.rs1, ins.imm,
+                   ins.simm13, ins.rs2, 0);
     case Mnemonic::kFpop1:
     case Mnemonic::kFpop2:
     case Mnemonic::kCpop1:
     case Mnemonic::kCpop2: {
-      const Op3Entry* e = lookup(ins.mn);
-      return (2u << 30) | (u32{ins.rd} << 25) | (e->op3 << 19) |
+      const OpInfo& r = op_info(ins.mn);
+      return (u32{r.op} << 30) | (u32{ins.rd} << 25) | (u32{r.op3} << 19) |
              (u32{ins.rs1} << 14) | ((u32{ins.opf} & 0x1ffu) << 5) |
              u32{ins.rs2};
     }
-    default: {
-      const Op3Entry* e = lookup(ins.mn);
-      assert(e != nullptr);
-      return fmt23(e->op, e->op3, ins.rd, ins.rs1, ins.imm, ins.simm13,
+    default:
+      return fmt23(ins.mn, ins.rd, ins.rs1, ins.imm, ins.simm13,
                    ins.rs2, ins.asi);
-    }
   }
 }
 

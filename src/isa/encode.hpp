@@ -24,7 +24,4 @@ u32 encode_mem_ri(Mnemonic m, u8 rd, u8 rs1, i32 simm13);
 u32 encode_ticc(Cond c, u8 rs1, i32 simm7);
 u32 encode_nop();
 
-/// op3 value for a format-2/3 mnemonic (asserts if not applicable).
-u32 op3_of(Mnemonic m);
-
 }  // namespace la::isa

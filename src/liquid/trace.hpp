@@ -37,10 +37,6 @@ struct TraceReport {
 
   /// Hottest program counters (descending by execution count).
   std::vector<std::pair<Addr, u64>> hot_pcs;
-
-  double load_fraction() const {
-    return instructions ? static_cast<double>(loads) / instructions : 0.0;
-  }
 };
 
 class TraceAnalyzer {

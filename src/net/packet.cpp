@@ -167,7 +167,6 @@ std::vector<Cell> segment_frame(std::span<const u8> frame) {
 }
 
 std::optional<Bytes> CellReassembler::push(const Cell& c) {
-  ++cells_;
   partial_.insert(partial_.end(), c.payload, c.payload + c.frame_bytes_valid);
   if (!c.last) return std::nullopt;
   ++frames_;

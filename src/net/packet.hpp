@@ -96,12 +96,10 @@ class CellReassembler {
   /// Returns a completed frame when `c.last` closes one.
   std::optional<Bytes> push(const Cell& c);
 
-  u64 cells_seen() const { return cells_; }
   u64 frames_completed() const { return frames_; }
 
  private:
   Bytes partial_;
-  u64 cells_ = 0;
   u64 frames_ = 0;
 };
 

@@ -46,46 +46,26 @@ std::optional<Cond> cond_from_suffix(std::string_view s) {
   return std::nullopt;
 }
 
-/// Three-operand register/imm instructions: name -> mnemonic.
-const std::map<std::string_view, Mnemonic> kArith3 = {
-    {"add", Mnemonic::kAdd},         {"addcc", Mnemonic::kAddcc},
-    {"addx", Mnemonic::kAddx},       {"addxcc", Mnemonic::kAddxcc},
-    {"sub", Mnemonic::kSub},         {"subcc", Mnemonic::kSubcc},
-    {"subx", Mnemonic::kSubx},       {"subxcc", Mnemonic::kSubxcc},
-    {"and", Mnemonic::kAnd},         {"andcc", Mnemonic::kAndcc},
-    {"andn", Mnemonic::kAndn},       {"andncc", Mnemonic::kAndncc},
-    {"or", Mnemonic::kOr},           {"orcc", Mnemonic::kOrcc},
-    {"orn", Mnemonic::kOrn},         {"orncc", Mnemonic::kOrncc},
-    {"xor", Mnemonic::kXor},         {"xorcc", Mnemonic::kXorcc},
-    {"xnor", Mnemonic::kXnor},       {"xnorcc", Mnemonic::kXnorcc},
-    {"sll", Mnemonic::kSll},         {"srl", Mnemonic::kSrl},
-    {"sra", Mnemonic::kSra},         {"taddcc", Mnemonic::kTaddcc},
-    {"taddcctv", Mnemonic::kTaddcctv}, {"tsubcc", Mnemonic::kTsubcc},
-    {"tsubcctv", Mnemonic::kTsubcctv}, {"mulscc", Mnemonic::kMulscc},
-    {"umul", Mnemonic::kUmul},       {"umulcc", Mnemonic::kUmulcc},
-    {"smul", Mnemonic::kSmul},       {"smulcc", Mnemonic::kSmulcc},
-    {"udiv", Mnemonic::kUdiv},       {"udivcc", Mnemonic::kUdivcc},
-    {"sdiv", Mnemonic::kSdiv},       {"sdivcc", Mnemonic::kSdivcc},
-    {"save", Mnemonic::kSave},       {"restore", Mnemonic::kRestore},
-};
+/// Name -> mnemonic over the LA_SPARC_OPS rows whose flags under `mask`
+/// equal `want`.  The FP and coprocessor memory ops (op3 bit 5) have no
+/// syntax here.
+std::map<std::string_view, Mnemonic> rows_where(u8 mask, u8 want) {
+  std::map<std::string_view, Mnemonic> m;
+  for (std::size_t i = 0; i < std::size(isa::kOps); ++i) {
+    const isa::OpInfo& r = isa::kOps[i];
+    if ((r.flags & mask) == want && !(r.op == 3 && (r.op3 & 0x20))) {
+      m.emplace(r.text, static_cast<Mnemonic>(i));
+    }
+  }
+  return m;
+}
 
-const std::map<std::string_view, Mnemonic> kLoads = {
-    {"ld", Mnemonic::kLd},       {"ldub", Mnemonic::kLdub},
-    {"lduh", Mnemonic::kLduh},   {"ldd", Mnemonic::kLdd},
-    {"ldsb", Mnemonic::kLdsb},   {"ldsh", Mnemonic::kLdsh},
-    {"lda", Mnemonic::kLda},     {"lduba", Mnemonic::kLduba},
-    {"lduha", Mnemonic::kLduha}, {"ldda", Mnemonic::kLdda},
-    {"ldsba", Mnemonic::kLdsba}, {"ldsha", Mnemonic::kLdsha},
-    {"ldstub", Mnemonic::kLdstub}, {"ldstuba", Mnemonic::kLdstuba},
-    {"swap", Mnemonic::kSwap},   {"swapa", Mnemonic::kSwapa},
-};
-
-const std::map<std::string_view, Mnemonic> kStores = {
-    {"st", Mnemonic::kSt},   {"stb", Mnemonic::kStb},
-    {"sth", Mnemonic::kSth}, {"std", Mnemonic::kStd},
-    {"sta", Mnemonic::kSta}, {"stba", Mnemonic::kStba},
-    {"stha", Mnemonic::kStha}, {"stda", Mnemonic::kStda},
-};
+/// Three-operand register/imm instructions: `op rs1, reg_or_imm, rd`.
+const auto kArith3 = rows_where(isa::kAlu3, isa::kAlu3);
+/// Loads and atomics: `op [addr] asi, rd`.
+const auto kLoads = rows_where(isa::kLoad, isa::kLoad);
+/// Stores: `op rd, [addr] asi`.
+const auto kStores = rows_where(isa::kLoad | isa::kStore, isa::kStore);
 
 }  // namespace
 

@@ -81,15 +81,6 @@ std::string FlightRecorder::to_json(const std::string& reason, u64 cycle,
   return out;
 }
 
-bool FlightRecorder::write_json(const std::string& path,
-                                const std::string& reason, u64 cycle) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string text = to_json(reason, cycle);
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
-}
-
 void FlightRecorder::clear() {
   head_ = 0;
   retire_countdown_ = pc_sample_ ? pc_sample_ : 1;

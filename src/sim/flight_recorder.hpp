@@ -100,8 +100,6 @@ class FlightRecorder {
   /// `reason` names the trigger (watchdog, divergence, detection, manual).
   std::string to_json(const std::string& reason, u64 cycle,
                       int indent = 2) const;
-  bool write_json(const std::string& path, const std::string& reason,
-                  u64 cycle) const;
 
   void clear();
 

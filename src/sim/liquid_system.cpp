@@ -497,6 +497,14 @@ void LiquidSystem::on_ctrl_transition(net::LeonState prev,
       job_trace_.phase("leon_ctrl.error", now, now, clock_, clock_);
     }
   }
+  // The trip latch is node state (snapshot() saves it), so it advances
+  // whether or not a recorder is armed.
+  bool tripped = false;
+  if (next == net::LeonState::kError) {
+    const u64 trips = ctrl_->stats().watchdog_trips;
+    tripped = trips != seen_wdog_trips_;
+    seen_wdog_trips_ = trips;
+  }
   if (!flight_) return;
   flight_->record(clock_, FlightEventKind::kCtrlState,
                   static_cast<u64>(prev), static_cast<u64>(next));
@@ -504,9 +512,6 @@ void LiquidSystem::on_ctrl_transition(net::LeonState prev,
   // Post-mortem: the error transition just landed in the ring, the PC the
   // processor is wedged at is its current architectural PC.  A trip-driven
   // error gets a kWatchdog event; a forced error only the transition.
-  const u64 trips = ctrl_->stats().watchdog_trips;
-  const bool tripped = trips != seen_wdog_trips_;
-  seen_wdog_trips_ = trips;
   if (tripped) {
     flight_->record(clock_, FlightEventKind::kWatchdog, pipe_->state().pc,
                     cfg_.watchdog_budget);

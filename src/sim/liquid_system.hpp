@@ -180,9 +180,7 @@ class LiquidSystem {
   bus::LeonTimer& timer() { return timer_; }
   bus::IrqController& irq() { return *irqctrl_; }
   bus::GpioPort& gpio() { return gpio_; }
-  bus::CycleCounter& cycle_counter() { return *cyc_; }
   bus::Watchdog& watchdog() { return wdog_; }
-  net::PacketGenerator& packet_generator() { return *pktgen_; }
   const SystemConfig& config() const { return cfg_; }
 
   // ---- per-step and fault-injection hooks ----
@@ -273,8 +271,9 @@ class LiquidSystem {
   Cycles episode_cycle_ = 0;
   std::unique_ptr<FlightRecorder> flight_;
   std::string last_flight_dump_;
-  /// Watchdog-trip count already attributed to a recorded kWatchdog event
-  /// (distinguishes a trip-driven kError from a forced one).
+  /// Watchdog-trip count as of the last transition into kError
+  /// (distinguishes a trip-driven kError from a forced one); kept with or
+  /// without a recorder.
   u64 seen_wdog_trips_ = 0;
   /// Previous-window snapshot for the STATS_STREAM delta provider.
   metrics::Snapshot stream_prev_;

@@ -22,7 +22,6 @@ class Monitor {
   // ---- breakpoints ----
   void add_breakpoint(Addr pc) { breakpoints_.insert(pc); }
   void remove_breakpoint(Addr pc) { breakpoints_.erase(pc); }
-  bool has_breakpoint(Addr pc) const { return breakpoints_.count(pc) != 0; }
 
   // ---- watchpoints ----
   enum class Watch : u8 { kRead, kWrite, kAccess };
@@ -34,7 +33,6 @@ class Monitor {
   void add_watchpoint(Addr lo, Addr hi, Watch kind) {
     watchpoints_.push_back({lo, hi, kind});
   }
-  void clear_watchpoints() { watchpoints_.clear(); }
 
   // ---- run control ----
   enum class StopReason : u8 {

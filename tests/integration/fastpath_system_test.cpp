@@ -225,13 +225,9 @@ KernelRun drive_kernel(const sasm::Image& img, bool fast, bool recorder,
   return out;
 }
 
-/// Fast vs slow, recorder off and on.  `recorder_blind` also requires
-/// the recorder-on snapshots to equal the recorder-off ones; a run that
-/// trips the watchdog cannot, because the node's saved count of trips
-/// already recorded as watchdog events advances only with a recorder.
+/// Fast vs slow, recorder off and on: all four nodes snapshot identically.
 void check_image(const sasm::Image& img, const Drive& drive = run_to_done,
-                 const sim::SystemConfig& cfg = {},
-                 bool recorder_blind = true) {
+                 const sim::SystemConfig& cfg = {}) {
   const KernelRun fast = drive_kernel(img, true, false, drive, cfg);
   const KernelRun slow = drive_kernel(img, false, false, drive, cfg);
   const KernelRun fast_rec = drive_kernel(img, true, true, drive, cfg);
@@ -241,10 +237,8 @@ void check_image(const sasm::Image& img, const Drive& drive = run_to_done,
   EXPECT_EQ(fast_rec.cycles, fast.cycles);
   EXPECT_TRUE(fast.snapshot == slow.snapshot);
   EXPECT_TRUE(fast_rec.snapshot == slow_rec.snapshot);
-  if (recorder_blind) {
-    // The recorder is host-side too: all four nodes snapshot identically.
-    EXPECT_TRUE(fast_rec.snapshot == fast.snapshot);
-  }
+  // The recorder is host-side too.
+  EXPECT_TRUE(fast_rec.snapshot == fast.snapshot);
   ASSERT_FALSE(fast_rec.flight.empty());
   EXPECT_EQ(fast_rec.flight, slow_rec.flight);
   EXPECT_NE(fast_rec.flight.find("\"kind\":\"retire\""), std::string::npos);
@@ -612,7 +606,7 @@ TEST(FastPathSystem, SwitchOpenStoresAndFillsIdentical) {
   sim::SystemConfig cfg;
   cfg.watchdog_budget = 30'000;
   const auto img = sasm::assemble_or_throw(store_and_finish(0xc0ffee));
-  check_image(img, unplugged, cfg, /*recorder_blind=*/false);
+  check_image(img, unplugged, cfg);
 
   cfg.pipeline.host_fast_paths = true;
   sim::LiquidSystem node(cfg);
