@@ -6,14 +6,17 @@
 // tier.  The functional model has no fast tier, so it gets one row, with
 // `fast_paths: false`.
 //
-// Four workloads: `alu_loop`, a 5-instruction ALU/branch loop, on every
-// model; and three progs/ kernels looped forever on the full node:
-// `crc32`, progs/crc32.s (branchy, data-dependent, with a load per byte
-// and cycle-counter APB accesses per pass), `stream`, progs/stream.s
+// Five workloads: `alu_loop`, a 5-instruction ALU/branch loop, on every
+// model; three progs/ kernels looped forever on the full node: `crc32`,
+// progs/crc32.s (branchy, data-dependent, with a load per byte and
+// cycle-counter APB accesses per pass), `stream`, progs/stream.s
 // (copy/scale/add/triad over three 1 KB arrays in SRAM, so the 1 KB
 // D-cache misses and every store goes through the write buffer), and
 // `memtest`, progs/memtest.s (walking patterns over 16 KB of SDRAM: every
-// store and line fill goes through the AHB/SDRAM adapter).
+// store and line fill goes through the AHB/SDRAM adapter); and
+// `idle_poll` on the node: a program that has returned, leaving the boot
+// ROM spinning in its mailbox poll (a flush, then a load that misses)
+// with the disconnect switch open, as after every farm job.
 //
 // Emits BENCH_sim.json (override with --out), one row per measurement.
 // Each row splits its --secs budget into five equal samples and records
@@ -233,13 +236,46 @@ Row measure_liquid_system(bool fast, double secs,
   return row;
 }
 
+/// The node after a job: a program that returns at once, run to
+/// completion, leaves the boot ROM polling the mailbox through the open
+/// switch.
+const char* kReturn = R"(
+    .org 0x40000100
+_start:
+    jmp 0x40                 ! back into the boot ROM's mailbox poll
+    nop
+)";
+
+Row measure_idle_poll(bool fast, double secs) {
+  sim::SystemConfig cfg;
+  cfg.pipeline.host_fast_paths = fast;
+  sim::LiquidSystem sys(cfg);
+  sys.run(200);  // boot into the ROM polling loop
+  ctrl::LiquidClient client(sys);
+  Row row;
+  if (!client.run_program(sasm::assemble_or_throw(kReturn)) ||
+      sys.disconnect().connected()) {
+    std::fprintf(stderr, "sim_mips: the idle_poll program did not finish\n");
+    row.model = "liquid_system";
+    row.fast_paths = fast;
+  } else {
+    row = measure("liquid_system", fast, secs, [&](u64& instr, u64& cyc) {
+      sys.run(kChunk);
+      instr = sys.cpu().stats().instructions;
+      cyc = sys.cpu().stats().cycles;
+    });
+  }
+  row.workload = "idle_poll";
+  return row;
+}
+
 int usage() {
   std::fprintf(stderr,
                "usage: sim_mips [--out FILE] [--secs N]\n"
                "  --out FILE   output JSON path (default BENCH_sim.json)\n"
                "  --secs N     wall-clock budget per measurement, seconds\n"
                "               (default 1.0, split into %d samples;\n"
-               "               twelve measurements total)\n",
+               "               fourteen measurements total)\n",
                kSamples);
   return 2;
 }
@@ -276,6 +312,9 @@ int main(int argc, char** argv) {
     for (const bool fast : {false, true}) {
       rows.push_back(measure_liquid_system(fast, secs, false, kernel));
     }
+  }
+  for (const bool fast : {false, true}) {
+    rows.push_back(measure_idle_poll(fast, secs));
   }
 
   const unsigned nproc = std::thread::hardware_concurrency();

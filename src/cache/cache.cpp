@@ -145,6 +145,11 @@ const u8* Cache::peek_line(Addr addr) const {
   return slot_data(static_cast<std::size_t>(w - ways_.data()));
 }
 
+bool Cache::dirty(Addr addr) const {
+  const Way* w = find(set_of(addr), tag_of(addr));
+  return w != nullptr && w->dirty;
+}
+
 void Cache::flush(std::vector<DirtyLine>* dirty_out) {
   ++stats_.flushes;
   ++gen_;

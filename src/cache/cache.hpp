@@ -124,6 +124,9 @@ class Cache {
   bool probe(Addr addr) const;
   /// Read-only view of a resident line's bytes (nullptr if absent).
   const u8* peek_line(Addr addr) const;
+  /// The line holding `addr` is resident and dirty (write-back policy
+  /// only), so invalidating it means a writeback.
+  bool dirty(Addr addr) const;
 
   /// Invalidate everything.  Dirty lines are appended to `dirty_out` if
   /// provided (write-back policy); null discards them, which is correct

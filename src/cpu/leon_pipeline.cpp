@@ -22,13 +22,14 @@ using Core = SparcCore<LeonPipeline>;
 namespace {
 // Line-tier dispatch tokens: the register forms of the inline ops (the
 // ALU ops, then the loads and stores, in list order: the order run_lines()
-// builds its label tables in), then the two structural tokens, then the
-// immediate-form twins at kOpImmBase.
+// builds its label tables in, then flush), then the two structural tokens,
+// then the immediate-form twins at kOpImmBase.
 enum : u8 {
 #define LA_LT_TOKEN(name, mn, ...) kOp_##name,
   LA_ALU_OPS(LA_LT_TOKEN)
   LA_MEM_OPS(LA_LT_TOKEN)
 #undef LA_LT_TOKEN
+  kOp_flush,
   kOpExecute,
   kOpBicc,
   kOpImmBase,
@@ -44,6 +45,8 @@ u8 line_token(Mnemonic mn) {
     LA_ALU_OPS(LA_LT_CASE)
     LA_MEM_OPS(LA_LT_CASE)
 #undef LA_LT_CASE
+    case Mnemonic::kFlush:
+      return kOp_flush;
     default:
       return kOpExecute;
   }
@@ -72,7 +75,10 @@ LeonPipeline::LeonPipeline(const PipelineConfig& cfg, bus::AhbBus& bus,
           static_cast<u32>(std::countr_zero(cfg.icache.words_per_line()))),
       dline_mask_(cfg.dcache.line_bytes - 1),
       fast_(cfg.host_fast_paths),
-      hot_ifetch_(cfg.host_fast_paths && cfg.icache_enabled) {
+      hot_ifetch_(cfg.host_fast_paths && cfg.icache_enabled),
+      direct_dmiss_(dsram_ != nullptr && cfg.dcache_enabled &&
+                    cfg.dcache.write_policy ==
+                        cache::WritePolicy::kWriteThroughNoAllocate) {
   assert(cfg.cpu.valid() && cfg.icache.valid() && cfg.dcache.valid());
   assert(clock != nullptr);
   if (dsram_ != nullptr) {
@@ -255,14 +261,17 @@ MemResult LeonPipeline::ifetch(
 
 Cycles LeonPipeline::fill_line(bus::Master m, Addr line_addr, u32 line_bytes,
                                u8* line, bool& error) {
-  Cycles c = 0;
-  if (direct_sram(line_addr, line_bytes) &&
-      dsram_->direct_fill(line_addr, line_bytes, line, c)) {
-    c += 1;  // the address phase
-    bus_.count_transfer(m, line_bytes / 4, c);
-    return c;
+  if (direct_line(line_addr, line_bytes)) {
+    return direct_fill(m, line_addr, line_bytes, line);
   }
   return bus_.fill_line(m, line_addr, line_bytes, line, error);
+}
+
+Cycles LeonPipeline::direct_fill(bus::Master m, Addr line_addr,
+                                 u32 line_bytes, u8* line) {
+  const Cycles c = 1 + dsram_->direct_fill(line_addr, line_bytes, line);
+  bus_.count_transfer(m, line_bytes / 4, c);
+  return c;
 }
 
 MemResult LeonPipeline::data_read(Addr addr, unsigned size) {
@@ -332,6 +341,22 @@ MemResult LeonPipeline::data_read_miss(Addr addr, unsigned size) {
   }
   r.value = read_be(out.data + (addr - out.line_addr), size);
   return r;
+}
+
+u8* LeonPipeline::direct_read_miss(Addr addr, Cycles& stall) {
+  const u32 line_bytes = dline_mask_ + 1;
+  const Addr line_addr = addr & ~static_cast<Addr>(dline_mask_);
+  if (!direct_dmiss_ || !cacheable(addr) ||
+      !direct_line(line_addr, line_bytes)) {
+    return nullptr;
+  }
+  // data_read_miss()'s cached path: a write-through read miss allocates
+  // with no victim writeback (no line is ever dirty) and no parity
+  // discard (only a dirty line can lose its data).
+  const cache::AccessOutcome out = dcache_.access(addr, /*is_write=*/false);
+  stall = direct_fill(bus::Master::kCpuData, line_addr, line_bytes, out.data);
+  stats_.dcache_stall += stall;
+  return out.data;
 }
 
 MemResult LeonPipeline::data_write(Addr addr, unsigned size,
@@ -635,24 +660,29 @@ u64 LeonPipeline::run_steps(const RunWindow& w) {
 //    on a line change the lookup_hit probe (enter_line, forced inline); a
 //    miss, poisoned line, or uncacheable PC takes the whole step through
 //    step_impl();
-//  - annulled slot, inline ALU/sethi op, inline Bicc, or inline load or
-//    store: the same state, latch, retire-counter, and cycle updates
-//    execute() and finish_step() make, with the ALU and memory bodies from
-//    cpu/alu_ops.hpp.  A load that hits the D-cache reads the line in
-//    place; a miss calls data_read_miss() (data_read() past its probe) and
-//    a store data_write(), each with the clock synced, and a failed access
-//    traps through trap_step(), the epilogue finish_step() uses;
+//  - annulled slot, inline ALU/sethi op, inline Bicc, inline flush, or
+//    inline load or store: the same state, latch, retire-counter, and
+//    cycle updates execute() and finish_step() make, with the ALU and
+//    memory bodies from cpu/alu_ops.hpp.  A load that hits the D-cache
+//    reads the line in place, and so does one whose miss the direct SRAM
+//    path fills (direct_read_miss()); any other miss calls
+//    data_read_miss() (data_read() past its probe) and a store
+//    data_write(), each with the clock synced, and a failed access traps
+//    through trap_step(), the epilogue finish_step() uses.  A flush of a
+//    dirty D-line takes execute();
 //  - every other instruction: finish_step() -> execute() on the mirrored
 //    decode, with the members synced first (the bus and write buffer read
 //    the clock);
 //  - wedge, deliverable interrupt: step_impl().
-// The ALU ops and D-cache read hits cannot change the caches, CWP, error
-// mode, the wedge, the interrupt inputs, or the stop flag, so those are
-// re-checked only after the steps that can: a bus access can raise the
-// stop flag, the wedge or an interrupt (after_bus re-checks them), and
-// execute() and trap entry can move anything (after_step).  Only lines
-// wholly at or above the PC fence and not holding the halt PC run inline,
-// so neither needs a per-op test either.
+// The ALU ops, D-cache read hits and direct SRAM fills cannot change CWP,
+// error mode, the wedge, the interrupt inputs, or the stop flag, and only
+// a flush changes the I-cache, so those are re-checked only after the
+// steps that can: a flush that drops an I-line sends the next fetch
+// through enter:, a bus access can raise the stop flag, the wedge or an
+// interrupt (after_bus re-checks them), and execute() and trap entry can
+// move anything (after_step).  Only lines wholly at or above the PC fence
+// and not holding the halt PC run inline, so neither needs a per-op test
+// either.
 // The mirror is valid exactly while the line is resident: every fill
 // re-digests its slot, so the I-cache's own fill, flush, and invalidate
 // events are the only invalidation there is.
@@ -750,16 +780,18 @@ u64 LeonPipeline::run_lines(const RunWindow& w) {
   static const void* const kLabels[] = {
       LA_ALU_OPS(LA_LT_LABEL_REG)
       LA_MEM_OPS(LA_LT_LABEL_REG)
-      &&lab_execute, &&lab_bicc,
+      &&lab_flush, &&lab_execute, &&lab_bicc,
       LA_ALU_OPS(LA_LT_LABEL_IMM)
       LA_MEM_OPS(LA_LT_LABEL_IMM)
+      &&lab_flush_i,
   };
   static const void* const kBodies[] = {
       LA_ALU_OPS(LA_LT_BODY_REG)
       LA_MEM_OPS(LA_LT_BODY_REG)
-      &&lab_execute_body, &&lab_bicc_body,
+      &&lab_flush_body, &&lab_execute_body, &&lab_bicc_body,
       LA_ALU_OPS(LA_LT_BODY_IMM)
       LA_MEM_OPS(LA_LT_BODY_IMM)
+      &&lab_flush_i_body,
   };
 #undef LA_LT_BODY_IMM
 #undef LA_LT_BODY_REG
@@ -819,12 +851,14 @@ u64 LeonPipeline::run_lines(const RunWindow& w) {
 
 // The memory ops: execute()'s load/store tail for an aligned address (a
 // misaligned one takes lab_execute for its trap).  A D-cache read hit is
-// served from the line; every other access makes the timed call with the
-// members synced (the bus, the write buffer and the peripherals read the
-// clock; syncing the rest too keeps the locals dead across the call, as
-// on the execute path, so they stay in registers), a failure trapping
-// through data_fault and a success re-checking what the access may have
-// changed at after_bus.
+// served from the line, and a read miss the direct SRAM path fills
+// (direct_read_miss) from the line it returns: neither reads the clock or
+// reaches a device, so neither syncs.  Every other access makes the
+// timed call with the members synced (the bus, the write buffer and the
+// peripherals read the clock; syncing the rest too keeps the locals dead
+// across the call, as on the execute path, so they stay in registers), a
+// failure trapping through data_fault and a success re-checking what the
+// access may have changed at after_bus.
 #define LA_MEM_RD(v) (*wp[op->d] = (v))
 #define LA_MEM_RD1(v) (*wp[op->d | 1] = (v))
 #define LA_MEM_RS (*rp[op->d])
@@ -853,6 +887,14 @@ u64 LeonPipeline::run_lines(const RunWindow& w) {
       LA_LT_MEM_RETIRE(loads)                                           \
       LA_LT_DISPATCH();                                                 \
     }                                                                   \
+    Cycles stall = 0;                                                   \
+    if (const u8* line = direct_read_miss(ea, stall)) {                 \
+      const u64 V = read_be(line + (ea & dline_mask_), size);           \
+      __VA_ARGS__;                                                      \
+      clk += 1 + cfg_.cpu.extra + stall;                                \
+      LA_LT_MEM_RETIRE(loads)                                           \
+      LA_LT_DISPATCH();                                                 \
+    }                                                                   \
     LA_LT_SYNC_OUT();                                                   \
     const MemResult r = data_read_miss(ea, size);                       \
     LA_LT_SYNC_IN();                                                    \
@@ -877,6 +919,32 @@ u64 LeonPipeline::run_lines(const RunWindow& w) {
     LA_LT_MEM_RETIRE(stores)                                            \
     goto after_bus;                                                     \
   }
+// FLUSH: execute()'s kFlush, flush_line()'s invalidates in its order.
+// The streak's re-hits reach the I-cache first, since the invalidate may
+// drop their line, and an I-side hit sends the next fetch through enter:
+// (the flushed line may be this one).  A dirty D-line (write-back only)
+// takes lab_execute: its writeback takes the bus and reads the clock.
+#define LA_LT_FLUSH(label, BEXPR)                                   \
+  LA_LT_ENTRY(label)                                                \
+  label##_body : {                                                  \
+    const Addr ea = *rp[op->a] + (BEXPR);                           \
+    if (cfg_.dcache.write_policy ==                                 \
+            cache::WritePolicy::kWriteBackAllocate &&               \
+        dcache_.dirty(ea)) {                                        \
+      goto lab_execute_body;                                        \
+    }                                                               \
+    stepped = pc;                                                   \
+    LA_LT_FLUSH_HITS();                                             \
+    if (icache_.invalidate_line(ea)) cur_line = kNoMirrorLine;      \
+    dcache_.invalidate_line(ea);                                    \
+    cti_taken_ = false;                                             \
+    pc = npc;                                                       \
+    npc += 4;                                                       \
+    ++n;                                                            \
+    ++clk;                                                          \
+    ++retired;                                                      \
+    LA_LT_DISPATCH();                                               \
+  }
 #define LA_LT_MEM_REG(name, mn, kind, extra, ...)                        \
   LA_LT_##kind(lab_##name, *rp[op->b], isa::access_size(Mnemonic::mn),    \
                extra, __VA_ARGS__)
@@ -892,6 +960,8 @@ u64 LeonPipeline::run_lines(const RunWindow& w) {
   LA_ALU_OPS(LA_LT_ALU_IMM)
   LA_MEM_OPS(LA_LT_MEM_REG)
   LA_MEM_OPS(LA_LT_MEM_IMM)
+  LA_LT_FLUSH(lab_flush, *rp[op->b])
+  LA_LT_FLUSH(lab_flush_i, op->imm)
 
   LA_LT_ENTRY(lab_bicc)
 lab_bicc_body : {
@@ -1009,6 +1079,7 @@ out:
 
 #undef LA_LT_MEM_IMM
 #undef LA_LT_MEM_REG
+#undef LA_LT_FLUSH
 #undef LA_LT_STORE
 #undef LA_LT_LOAD
 #undef LA_LT_MEM_RETIRE

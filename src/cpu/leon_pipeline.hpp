@@ -196,14 +196,27 @@ class LeonPipeline {
   MemResult data_write(Addr addr, unsigned size, u64 value);
   /// data_read() past its D-cache hit probe: an uncached access, a miss
   /// (fill, dirty victim) or a poisoned line.  The line tier calls it
-  /// directly once its own inline probe has missed.
+  /// directly once its own inline probe and direct_read_miss() have
+  /// declined.
   MemResult data_read_miss(Addr addr, unsigned size);
+  /// data_read_miss()'s work for a D-cache read miss the direct SRAM path
+  /// fills: the D-cache write-through (no victim to write back) and the
+  /// line cacheable and direct_line().  Allocates and fills the line,
+  /// adds `stall` to dcache_stall and returns the line; any other miss
+  /// returns null, touching nothing.  It reads no clock and reaches no
+  /// APB device, so the line tier calls it with its locals unsynced.
+  u8* direct_read_miss(Addr addr, Cycles& stall);
   /// Timed burst write of a full line's bytes (dirty victim eviction).
   Cycles writeback_line(Addr addr, const u8* bytes);
-  /// A line fill, over the direct SRAM path when it applies (the line has
-  /// no parity-damaged word), else as one bus burst.
+  /// A line fill, over the direct SRAM path when direct_line() allows it,
+  /// else as one bus burst.
   Cycles fill_line(bus::Master m, Addr line_addr, u32 line_bytes, u8* line,
                    bool& error);
+  /// The direct SRAM path's line fill (direct_line() holds): the bytes,
+  /// the blocked counters with the switch open, and the bus statistics;
+  /// returns its cycles, the address phase included.
+  Cycles direct_fill(bus::Master m, Addr line_addr, u32 line_bytes,
+                     u8* line);
   /// A store's write on the bus, or on the direct SRAM path.
   Cycles store_bus(Addr addr, unsigned size, u64 value, bool& error);
   /// Decode an I-cache line's bytes into the mirror slot.
@@ -219,6 +232,13 @@ class LeonPipeline {
     return dsram_ != nullptr &&
            u64{addr - dsram_base_} + len <= dsram_size_ &&
            bus_.pending_error_pulses() == 0;
+  }
+  /// The direct SRAM path fills the line at `line_addr`: direct_sram(),
+  /// and no parity-damaged word in it with the switch closed (the bus
+  /// answers ERROR for one).
+  bool direct_line(Addr line_addr, u32 line_bytes) const {
+    return direct_sram(line_addr, line_bytes) &&
+           dsram_->direct_fill_ok(line_addr, line_bytes);
   }
 
   // --- architectural execution ----------------------------------------------
@@ -333,6 +353,9 @@ class LeonPipeline {
   u32 dline_mask_ = 0;    // dcache line_bytes - 1
   bool fast_ = false;     // cfg_.host_fast_paths (hoisted)
   bool hot_ifetch_ = false;  // fast_ && icache_enabled (hoisted)
+  /// A direct SRAM path and an enabled write-through D-cache (hoisted):
+  /// direct_read_miss() may serve a read miss.
+  bool direct_dmiss_ = false;
 
   bool annul_next_ = false;
   bool wedged_ = false;

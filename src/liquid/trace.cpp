@@ -17,7 +17,11 @@ void TraceAnalyzer::ingest(const net::TraceRecord& t) {
     return;
   }
   ++instructions_;
-  code_lines_.insert(static_cast<Addr>(align_down(t.pc, kGranule)));
+  const Addr code_line = static_cast<Addr>(align_down(t.pc, kGranule));
+  if (code_line != last_code_line_) {
+    code_lines_.insert(code_line);
+    last_code_line_ = code_line;
+  }
   ++pc_counts_[t.pc];
 
   if (t.is_mul) ++multiplies_;
@@ -27,13 +31,13 @@ void TraceAnalyzer::ingest(const net::TraceRecord& t) {
     if (t.mem_write) ++stores_;
     if (t.is_load) ++loads_;
     data_lines_.insert(static_cast<Addr>(align_down(t.mem_addr, kGranule)));
-    const auto it = last_addr_by_pc_.find(t.pc);
-    if (it != last_addr_by_pc_.end()) {
+    const auto [it, first] = last_addr_by_pc_.try_emplace(t.pc, t.mem_addr);
+    if (!first) {
       const i64 stride =
           static_cast<i64>(t.mem_addr) - static_cast<i64>(it->second);
       if (stride != 0) ++stride_histogram_[stride];
+      it->second = t.mem_addr;
     }
-    last_addr_by_pc_[t.pc] = t.mem_addr;
   }
 }
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <map>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -82,9 +83,13 @@ class TraceAnalyzer {
   u64 traps_ = 0;
   std::unordered_set<Addr> data_lines_;
   std::unordered_set<Addr> code_lines_;
-  std::map<Addr, Addr> last_addr_by_pc_;
+  /// The granule code_lines_ took last: straight-line code stays in it,
+  /// so only a change of granule needs the insert.
+  Addr last_code_line_ = ~Addr{0};
+  std::unordered_map<Addr, Addr> last_addr_by_pc_;
+  /// Ordered: dominant_stride is the lowest of the most frequent strides.
   std::map<i64, u64> stride_histogram_;
-  std::map<Addr, u64> pc_counts_;
+  std::unordered_map<Addr, u64> pc_counts_;  // report() sorts them
 };
 
 }  // namespace la::liquid

@@ -40,21 +40,24 @@ class DisconnectSwitch final : public bus::AhbSlave {
   /// Direct CPU path (a pipeline's host fast path): transfer()'s effects
   /// and data-phase cycles for one store, or one line fill, that lies
   /// inside the SRAM, with no AhbTransfer.  Disconnected, the store is
-  /// dropped and the line reads as zeros.  direct_fill() returns false,
-  /// touching nothing, when the line holds a parity-damaged word: the
-  /// caller takes the bus, which answers ERROR.
+  /// dropped and the line reads as zeros.  A fill needs direct_fill_ok()
+  /// first: it is false when the switch is closed and the line holds a
+  /// parity-damaged word, and the caller then takes the bus, which
+  /// answers ERROR.
   Cycles direct_store(Addr addr, unsigned size, u64 value) {
     if (connected_) return sram_.direct_store(addr, size, value);
     const u64 beats = size == 8 ? 2 : 1;
     stats_.blocked_writes += beats;
     return beats * (1 + sram_.timing().write_wait);
   }
-  bool direct_fill(Addr addr, u32 len, u8* line, Cycles& cycles) {
-    if (connected_) return sram_.direct_fill(addr, len, line, cycles);
+  bool direct_fill_ok(Addr addr, u32 len) const {
+    return !connected_ || sram_.direct_fill_ok(addr, len);
+  }
+  Cycles direct_fill(Addr addr, u32 len, u8* line) {
+    if (connected_) return sram_.direct_fill(addr, len, line);
     std::memset(line, 0, len);
     stats_.blocked_reads += len / 4;
-    cycles = (len / 4) * (1 + sram_.timing().read_wait);
-    return true;
+    return (len / 4) * (1 + sram_.timing().read_wait);
   }
 
   void set_connected(bool on) { connected_ = on; }

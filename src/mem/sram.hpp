@@ -58,15 +58,17 @@ class Sram final : public bus::AhbSlave {
     const Cycles beats = size == 8 ? 2 : 1;
     return beats * (1 + timing_.write_wait);
   }
+  /// No word of the `len`-byte line at `addr` has bad parity, so
+  /// direct_fill() may serve it (transfer() answers ERROR for such a word).
+  bool direct_fill_ok(Addr addr, u32 len) const {
+    return mem_.parity_ok(addr - base_, len);
+  }
   /// Copy the `len`-byte line at `addr` into `line` (the caches' byte
-  /// order is the memory's) and set its cycles; false, touching nothing,
-  /// when a word of the line has bad parity (transfer() answers ERROR).
-  bool direct_fill(Addr addr, u32 len, u8* line, Cycles& cycles) const {
-    const u32 o = addr - base_;
-    if (!mem_.parity_ok(o, len)) return false;
-    mem_.read(o, {line, len});
-    cycles = (len / 4) * (1 + timing_.read_wait);
-    return true;
+  /// order is the memory's) and return its cycles.  The caller checks
+  /// direct_fill_ok() first.
+  Cycles direct_fill(Addr addr, u32 len, u8* line) const {
+    mem_.read(addr - base_, {line, len});
+    return (len / 4) * (1 + timing_.read_wait);
   }
 
   // Backdoor (user-path) access: byte-exact, no bus timing.

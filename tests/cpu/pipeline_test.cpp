@@ -2,7 +2,10 @@
 // the cache/bus timing behaviours the paper's experiment depends on.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "pipeline_test_util.hpp"
+#include "sasm/runtime.hpp"
 
 namespace la::test {
 namespace {
@@ -398,6 +401,305 @@ TEST(Pipeline, LineTierStreakAccountingMatchesPerFetch) {
   }
   EXPECT_EQ(fast.pipe().state().pc, fast.image().symbol("done"));
   EXPECT_EQ(fast.pipe().icache().stats().flushes, 2u);  // reset's, FI's
+}
+
+// --- The line tier's flush and direct-SRAM read miss -----------------------
+// Each program runs on two rigs with the SRAM behind a disconnect switch:
+// fast (the line tier, the direct SRAM path) and slow (the per-step
+// reference, every access on the bus).
+
+/// What the two rigs must agree on: the pipeline's saved state
+/// (registers, latches, both caches, stats), the bus's and the switch's
+/// counters, the clock, and the `len` bytes at `data`.
+Bytes rig_state(PipeSys& s, Addr data, u32 len) {
+  SnapWriter w;
+  s.pipe().save_state(w);
+  s.bus().save_state(w);
+  s.disconnect().save_state(w);
+  w.u64v(s.clock());
+  Bytes mem(len);
+  EXPECT_TRUE(s.sram().backdoor_read(data, mem));
+  w.bytes(mem);
+  return w.take();
+}
+
+/// Run `fast` and `slow` in lockstep windows until the slow rig reaches
+/// `done`: step budgets of 1 to 13 alternating with cycle deadlines 1 to
+/// 13 cycles out, so windows end on every instruction, the flushes and
+/// the missing loads included.  `poke(rig, window)` runs on both rigs
+/// before each window (fault injection).  After every window the rigs
+/// must agree on rig_state() over `len` bytes at `data_label`.
+void check_lockstep(PipeSys& fast, PipeSys& slow,
+                    const char* data_label, u32 len,
+                    const std::function<void(PipeSys&, u64)>& poke = {}) {
+  const Addr done = slow.image().symbol("done");
+  const Addr data = slow.image().symbol(data_label);
+  for (u64 window = 0; slow.pipe().state().pc != done; ++window) {
+    ASSERT_LT(window, 100000u) << "never reached done";
+    ASSERT_FALSE(slow.pipe().state().error_mode);
+    cpu::RunWindow w;
+    w.halt_pc = done;
+    const u64 k = 1 + window % 13;
+    if (window % 2 == 0) {
+      w.max_steps = k;
+    } else {
+      w.max_steps = 1000;
+      w.deadline = slow.clock() + k;
+    }
+    if (poke) {
+      poke(fast, window);
+      poke(slow, window);
+    }
+    ASSERT_EQ(fast.pipe().run(w), slow.pipe().run(w)) << "window " << window;
+    ASSERT_EQ(rig_state(fast, data, len), rig_state(slow, data, len))
+        << "after window " << window;
+  }
+}
+
+/// Fill the `len` bytes at `data_label` with a nonzero word pattern.
+void seed_data(PipeSys& s, const char* data_label, u32 len) {
+  const Addr data = s.image().symbol(data_label);
+  for (u32 i = 0; i < len; i += 4) {
+    s.sram().backdoor_write_word(data + i, 0x01010101u * (i / 4) + 7);
+  }
+}
+
+cpu::PipelineConfig reference(cpu::PipelineConfig cfg) {
+  cfg.host_fast_paths = false;
+  return cfg;
+}
+
+// flush in register and immediate form: of the executing I-line after a
+// store into it (the next fetch must refill the line and run the new
+// word), of data lines (an I-side miss), in a taken delay slot, in an
+// annulled one, and in a bne,a slot that runs while the loop loops and is
+// annulled on exit; between them loads that miss the 1 KB D-cache and
+// fill from the SRAM.
+TEST(Pipeline, LineTierFlushMatchesPerStep) {
+  const char* src = R"(
+      .org 0x40000100
+  _start:
+      set data, %l0
+      set patch, %l1
+      set words, %l5
+      mov 0, %l6
+      mov 0, %l2
+      mov 0, %o1
+      mov 12, %l7              ! passes
+  loop:
+      ld [%l5 + %l6], %l4      ! this pass's word for `patch`
+      xor %l6, 4, %l6
+      ba smc
+      nop
+      .align 32
+  smc:                         ! one I-cache line
+      st %l4, [%l1]            ! the I-cache keeps the old word
+      flush %l1                ! drop this line: the next fetch refills it
+  patch:
+      mov 1, %o0               ! runs as mov 1 and mov 2 in turn
+      add %o1, %o0, %o1
+      flush %l0                ! a data line: I-side miss, D-side hit
+      ld [%l0], %o2            ! misses
+      ba slot
+      flush %l0 + 32           ! taken delay slot
+      .align 32
+  slot:
+      ld [%l0 + 32], %o3       ! misses
+      add %o1, %o3, %o1
+      ba,a walk
+      flush %l1                ! annulled
+  walk:
+      ld [%l0 + %l2], %o4      ! a 32-byte stride over 4 KB: misses
+      add %o1, %o4, %o1
+      add %l2, 32, %l2
+      and %l2, 4095, %l2
+      subcc %l7, 1, %l7
+      bne,a loop               ! its slot runs while looping and is
+      flush %l0 + 64           ! annulled on exit
+      ba done
+      nop
+      .align 32
+  done:
+      ba done
+      nop
+  words:
+      mov 1, %o0
+      mov 2, %o0
+      .align 32
+  data:
+      .skip 4096
+  )";
+  PipeSys fast(src, {}, /*direct_sram=*/true);
+  PipeSys slow(src, reference({}), /*direct_sram=*/true);
+  seed_data(fast, "data", 4096);
+  seed_data(slow, "data", 4096);
+  check_lockstep(fast, slow, "data", 4096);
+  EXPECT_EQ(fast.o(0), 2u);  // the last pass ran the patched word
+  EXPECT_GT(fast.pipe().icache().stats().read_misses, 12u);
+}
+
+// Under a write-back D-cache a flush of a dirty line writes it back (the
+// execute() path: the writeback takes the bus), while a clean line's
+// flush stays inline.  The refill after each flush must read what the
+// writeback stored.
+TEST(Pipeline, LineTierFlushWritesBackDirtyLine) {
+  const char* src = R"(
+      .org 0x40000100
+  _start:
+      set data, %l0
+      mov 16, %l7
+      mov 0, %o1
+  loop:
+      st %l7, [%l0]            ! write-allocate: the line turns dirty
+      flush %l0                ! dirty: written back, then dropped
+      ld [%l0], %o2            ! refills what the writeback stored
+      add %o1, %o2, %o1
+      flush %l0 + 64           ! a clean line, or none
+      ld [%l0 + 64], %o3
+      add %o1, %o3, %o1
+      subcc %l7, 1, %l7
+      bne loop
+      flush %l0 + 4            ! taken delay slot: a clean line
+      ba done
+      nop
+      .align 32
+  done:
+      ba done
+      nop
+      .align 32
+  data:
+      .skip 128
+  )";
+  cpu::PipelineConfig cfg;
+  cfg.dcache.write_policy = cache::WritePolicy::kWriteBackAllocate;
+  PipeSys fast(src, cfg, /*direct_sram=*/true);
+  PipeSys slow(src, reference(cfg), /*direct_sram=*/true);
+  check_lockstep(fast, slow, "data", 128);
+  EXPECT_EQ(fast.o(1), 136u);  // 16 + 15 + ... + 1, each read back
+  EXPECT_EQ(fast.sram().backdoor_word(fast.image().symbol("data")), 1u);
+}
+
+/// A walk that misses the D-cache on every register-form load, with
+/// immediate-form loads of every size between, and a data_access handler
+/// that counts its traps at `traps:` and returns past the faulting op.
+std::string miss_walk_program() {
+  sasm::rt::RuntimeOptions opt;
+  opt.custom_handlers[0x09] = "skip";
+  return R"(
+      .org 0x40000100
+  _start:
+      call rt_init
+      nop
+      set data, %l0
+      mov 0, %l1
+      mov 0, %l7
+      set 300, %l6
+  walk:
+      ld [%l0 + %l1], %o1      ! a 32-byte stride over 4 KB
+      add %l7, %o1, %l7
+      add %l1, 32, %l1
+      and %l1, 4095, %l1
+      ldub [%l0 + 1], %o2
+      ldsh [%l0 + 34], %o3
+      ldd [%l0 + 72], %o4
+      ldsb [%l0 + 1027], %o1
+      lduh [%l0 + 2050], %o2
+      add %l7, %o1, %l7
+      add %l7, %o2, %l7
+      add %l7, %o3, %l7
+      add %l7, %o5, %l7
+      subcc %l6, 1, %l6
+      bne walk
+      nop
+      ba done
+      nop
+  skip:
+      set traps, %l3
+      ld [%l3], %l4
+      add %l4, 1, %l4
+      st %l4, [%l3]
+      jmp %l2
+      rett %l2 + 4
+      .align 32
+  done:
+      ba done
+      nop
+  traps:
+      .word 0
+      .align 32
+  data:
+      .skip 4096
+  )" + sasm::rt::runtime_source(opt);
+}
+
+/// The miss walk on a fast and a slow rig in lockstep, with `setup` run
+/// on both rigs first and `poke` before each window.
+void check_miss_walk(const cpu::PipelineConfig& cfg,
+                     const std::function<void(PipeSys&)>& setup,
+                     const std::function<void(PipeSys&, u64)>& poke,
+                     const std::function<void(PipeSys&)>& expect) {
+  const std::string src = miss_walk_program();
+  PipeSys fast(src, cfg, /*direct_sram=*/true);
+  PipeSys slow(src, reference(cfg), /*direct_sram=*/true);
+  for (PipeSys* s : {&fast, &slow}) {
+    seed_data(*s, "data", 4096);
+    if (setup) setup(*s);
+  }
+  check_lockstep(fast, slow, "traps", 4 + 32 + 4096, poke);
+  expect(fast);
+}
+
+u32 traps(PipeSys& s) { return s.sram().backdoor_word(s.image().symbol("traps")); }
+
+// The direct-SRAM read miss with the switch closed, with it open for part
+// of the walk (fills read zeros), before pending AHB error pulses (the
+// pulsed miss takes the bus and traps), over a parity-damaged word (its
+// line's fills take the bus and trap), and in a 2-way random-replacement
+// D-cache.
+TEST(Pipeline, LineTierDirectReadMissMatchesPerStep) {
+  const cpu::PipelineConfig plain;
+  check_miss_walk(plain, nullptr, nullptr, [](PipeSys& s) {
+    EXPECT_EQ(traps(s), 0u);
+    EXPECT_GT(s.pipe().dcache().stats().read_misses, 300u);
+  });
+  check_miss_walk(
+      plain, nullptr,
+      [](PipeSys& s, u64 window) {
+        // Closed again before the walk ends: the code after it is not in
+        // the I-cache, and an open switch would feed it zeros.
+        if (window == 200) s.disconnect().set_connected(false);
+        if (window == 300) s.disconnect().set_connected(true);
+      },
+      [](PipeSys& s) {
+        EXPECT_GT(s.disconnect().stats().blocked_reads, 100u);
+      });
+  check_miss_walk(
+      plain, nullptr,
+      [](PipeSys& s, u64 window) {
+        if (window == 300 || window == 501) s.bus().inject_error_pulse(1);
+      },
+      [](PipeSys& s) {
+        EXPECT_EQ(s.bus().stats().injected_errors, 2u);
+        EXPECT_GE(traps(s), 1u);
+      });
+  check_miss_walk(
+      plain,
+      [](PipeSys& s) {
+        ASSERT_TRUE(s.sram().corrupt_word(s.image().symbol("data") + 260,
+                                          0x10));
+      },
+      nullptr,
+      [](PipeSys& s) {
+        EXPECT_GE(traps(s), 2u);
+        EXPECT_EQ(s.sram().stats().parity_errors, traps(s));
+      });
+  cpu::PipelineConfig two_way;
+  two_way.dcache.ways = 2;
+  two_way.dcache.replacement = cache::Replacement::kRandom;
+  check_miss_walk(two_way, nullptr, nullptr, [](PipeSys& s) {
+    EXPECT_EQ(traps(s), 0u);
+    EXPECT_GT(s.pipe().dcache().stats().evictions, 100u);
+  });
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 // kernels, after a program built to walk every branch of the line tier's
 // load/store handlers, and after the runs that must keep the direct SRAM
 // path off or exact (an injected AHB error pulse, a parity-damaged line,
-// the disconnect switch open, SDRAM byte lanes), and a program LOADed
+// the disconnect switch open, the post-return poll in a 2-way random and
+// a write-back D-cache, SDRAM byte lanes), and a program LOADed
 // over a previously running one (restart → reload at the same addresses)
 // must execute the new bytes, not a stale predecoded mirror.
 #include <gtest/gtest.h>
@@ -618,6 +619,29 @@ TEST(FastPathSystem, SwitchOpenStoresAndFillsIdentical) {
   const auto words = client.read_memory(img.symbol("result"), 1);
   ASSERT_TRUE(words.has_value());
   EXPECT_EQ((*words)[0], 0xc0ffeeu);
+}
+
+// The post-return ROM poll, a flush of the mailbox line and a load that
+// misses and reads zeros through the open switch, kept running after the
+// program returns: in a 2-way random-replacement D-cache (the fill picks
+// its victim from the cache's generator) and in a write-back one (the
+// flush of a clean line stays inline).
+TEST(FastPathSystem, PostReturnPollIdentical) {
+  const Drive poll = [](sim::LiquidSystem& node, ctrl::LiquidClient& client,
+                        const sasm::Image& im) {
+    EXPECT_TRUE(client.run_program(im, 50'000'000));
+    node.run(20'000);
+    EXPECT_EQ(node.controller().state(), net::LeonState::kDone);
+    EXPECT_FALSE(node.disconnect().connected());
+  };
+  const auto img = sasm::assemble_or_throw(store_and_finish(0xabcd));
+  sim::SystemConfig cfg;
+  cfg.pipeline.dcache.ways = 2;
+  cfg.pipeline.dcache.replacement = cache::Replacement::kRandom;
+  check_image(img, poll, cfg);
+  cfg.pipeline.dcache = {};
+  cfg.pipeline.dcache.write_policy = cache::WritePolicy::kWriteBackAllocate;
+  check_image(img, poll, cfg);
 }
 
 // SDRAM keeps the bus path (its adapter is stateful): stb into every byte

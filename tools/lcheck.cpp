@@ -31,8 +31,8 @@
 //                                  samples, build type, commit and core
 //                                  count, complete fast on/off pairings
 //                                  (the node's crc32, stream and memtest
-//                                  kernels included), and one
-//                                  integer_unit row, fast off
+//                                  kernels and its idle_poll included),
+//                                  and one integer_unit row, fast off
 //
 // Exit codes: 0 all checks pass, 1 a check failed, 2 usage/IO error.
 #include <cctype>
@@ -608,8 +608,8 @@ int check_bench_sim(const std::string& file, const std::string& text) {
   static const std::set<std::string> kModels = {
       "integer_unit", "leon_pipeline", "liquid_system",
       "liquid_system_flight"};
-  static const std::set<std::string> kWorkloads = {"alu_loop", "crc32",
-                                                    "stream", "memtest"};
+  static const std::set<std::string> kWorkloads = {
+      "alu_loop", "crc32", "stream", "memtest", "idle_poll"};
   // (model, workload, fast_paths) keys seen, for pairing.
   std::set<std::string> seen;
   std::size_t index = 0;
@@ -677,15 +677,16 @@ int check_bench_sim(const std::string& file, const std::string& text) {
 
   // Pairing: the pipeline and the node measured on the ALU loop with the
   // host fast paths both on and off, and the node likewise on the crc32,
-  // stream and memtest (SDRAM) kernels; the functional model, which has
-  // no fast tier, once.  (The flight-recorder variant exists only as a fast-path
-  // overhead row.)
+  // stream and memtest (SDRAM) kernels and in the post-job ROM poll; the
+  // functional model, which has no fast tier, once.  (The flight-recorder
+  // variant exists only as a fast-path overhead row.)
   if (seen.count("integer_unit/alu_loop/slow") == 0) {
     return complain(file, "missing integer_unit/alu_loop/slow row");
   }
   for (const char* m : {"leon_pipeline/alu_loop", "liquid_system/alu_loop",
                         "liquid_system/crc32", "liquid_system/stream",
-                        "liquid_system/memtest"}) {
+                        "liquid_system/memtest",
+                        "liquid_system/idle_poll"}) {
     for (const char* leg : {"/slow", "/fast"}) {
       if (seen.count(std::string(m) + leg) == 0) {
         return complain(file, std::string("missing ") + m + leg + " row");
